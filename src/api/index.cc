@@ -182,12 +182,7 @@ void RecordJoin(const BrePartition& bp, size_t rows, size_t k,
 // Index
 
 Index::Index(std::unique_ptr<Pager> pager, std::unique_ptr<BrePartition> bp)
-    : pager_(std::move(pager)), bp_(std::move(bp)) {
-  QueryEngineOptions options;
-  options.num_threads = 1;  // sequential reference mode
-  options.parallel_filter = false;
-  engine_ = std::make_unique<QueryEngine>(*bp_, options);
-}
+    : pager_(std::move(pager)), bp_(std::move(bp)) {}
 
 Index::Index(Index&&) noexcept = default;
 Index& Index::operator=(Index&&) noexcept = default;
@@ -638,7 +633,7 @@ StatusOr<std::vector<uint32_t>> Index::RangeImpl(std::span<const double> y,
                                                  double radius,
                                                  Stats* stats) const {
   QueryStats qs;
-  auto result = engine_->RangeSearch(y, radius, &qs);
+  auto result = bp_->RangeSearch(y, radius, &qs);
   stats->Add(qs);
   return result;
 }

@@ -204,8 +204,6 @@ class Index final : public SearchIndex {
 
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<BrePartition> bp_;
-  /// Sequential reference engine (1 thread) for the range path.
-  std::unique_ptr<QueryEngine> engine_;
   /// Durability state (wal_ stays null until the first checkpoint gives
   /// the log a base to replay against; mutable because Save() const is
   /// the checkpoint). home_path_ is the canonicalized checkpoint target

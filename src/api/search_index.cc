@@ -9,7 +9,7 @@
 #include "core/brepartition.h"
 #include "core/stats.h"
 #include "divergence/factory.h"
-#include "engine/query_engine.h"
+#include "engine/engine_stats.h"
 #include "storage/point_store.h"
 
 namespace brep {
@@ -69,12 +69,7 @@ class BrePartitionBackend final : public SearchIndex {
   BrePartitionBackend(Pager* pager, const Matrix& data,
                       const BregmanDivergence& div,
                       const BrePartitionConfig& config)
-      : bp_(std::make_unique<BrePartition>(pager, data, div, config)) {
-    QueryEngineOptions options;
-    options.num_threads = 1;  // the sequential reference mode
-    options.parallel_filter = false;
-    engine_ = std::make_unique<QueryEngine>(*bp_, options);
-  }
+      : bp_(std::make_unique<BrePartition>(pager, data, div, config)) {}
 
   std::string Describe() const override {
     return "brepartition(M=" + std::to_string(bp_->num_partitions()) +
@@ -103,14 +98,13 @@ class BrePartitionBackend final : public SearchIndex {
                                             double radius,
                                             Stats* st) const override {
     QueryStats qs;
-    auto result = engine_->RangeSearch(y, radius, &qs);
+    auto result = bp_->RangeSearch(y, radius, &qs);
     st->Add(qs);
     return result;
   }
 
  private:
   std::unique_ptr<BrePartition> bp_;
-  std::unique_ptr<QueryEngine> engine_;
 };
 
 class BBTreeBackend final : public SearchIndex {
@@ -483,6 +477,7 @@ void SearchIndex::Stats::Add(const EngineStats& es) {
   points_evaluated += es.points_evaluated;
   pool_hits += es.pool_hits;
   pool_misses += es.pool_misses;
+  radius_total += es.radius_total;
 }
 
 StatusOr<uint32_t> SearchIndex::Insert(std::span<const double> point,

@@ -1,9 +1,11 @@
 #include "bbtree/bbforest.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/build_counters.h"
 #include "common/check.h"
+#include "engine/thread_pool.h"
 
 namespace brep {
 
@@ -150,22 +152,67 @@ BBForest::PoolCounters BBForest::pool_counters() const {
   return out;
 }
 
+std::vector<std::vector<uint32_t>> BBForest::FilterEachTree(
+    std::span<const std::vector<double>> y_subs, std::span<const double> radii,
+    SearchStats* stats, ThreadPool* pool) const {
+  const size_t m_trees = trees_.size();
+  BREP_CHECK(y_subs.size() == m_trees);
+  BREP_CHECK(radii.size() == m_trees);
+  std::vector<std::vector<uint32_t>> per_tree(m_trees);
+  std::vector<SearchStats> per_stats(m_trees);
+  auto run_tree = [&](size_t m) {
+    per_tree[m] = filter_mode_ == FilterMode::kExactRange
+                      ? trees_[m]->RangeSearchExact(y_subs[m], radii[m],
+                                                    &per_stats[m])
+                      : trees_[m]->RangeCandidates(y_subs[m], radii[m],
+                                                   &per_stats[m]);
+    std::sort(per_tree[m].begin(), per_tree[m].end());
+  };
+  if (pool != nullptr && pool->num_workers() > 0 && m_trees > 1) {
+    pool->ParallelFor(m_trees, [&](size_t m, size_t) { run_tree(m); });
+  } else {
+    for (size_t m = 0; m < m_trees; ++m) run_tree(m);
+  }
+  if (stats != nullptr) {
+    for (const SearchStats& s : per_stats) {
+      stats->nodes_visited += s.nodes_visited;
+      stats->leaves_visited += s.leaves_visited;
+      stats->points_evaluated += s.points_evaluated;
+    }
+  }
+  return per_tree;
+}
+
 std::vector<uint32_t> BBForest::RangeCandidatesUnion(
     std::span<const std::vector<double>> y_subs, std::span<const double> radii,
-    SearchStats* stats) const {
-  BREP_CHECK(y_subs.size() == trees_.size());
-  BREP_CHECK(radii.size() == trees_.size());
-  std::vector<uint32_t> all;
-  for (size_t m = 0; m < trees_.size(); ++m) {
-    std::vector<uint32_t> cand =
-        filter_mode_ == FilterMode::kExactRange
-            ? trees_[m]->RangeSearchExact(y_subs[m], radii[m], stats)
-            : trees_[m]->RangeCandidates(y_subs[m], radii[m], stats);
-    all.insert(all.end(), cand.begin(), cand.end());
+    SearchStats* stats, ThreadPool* pool) const {
+  auto per_tree = FilterEachTree(y_subs, radii, stats, pool);
+  std::vector<uint32_t> all = std::move(per_tree[0]);
+  std::vector<uint32_t> next;
+  for (size_t m = 1; m < per_tree.size(); ++m) {
+    next.clear();
+    std::set_union(all.begin(), all.end(), per_tree[m].begin(),
+                   per_tree[m].end(), std::back_inserter(next));
+    all.swap(next);
   }
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
   return all;
+}
+
+std::vector<uint32_t> BBForest::RangeCandidatesIntersection(
+    std::span<const std::vector<double>> y_subs, double radius,
+    SearchStats* stats, ThreadPool* pool) const {
+  const std::vector<double> radii(trees_.size(), radius);
+  auto per_tree = FilterEachTree(y_subs, radii, stats, pool);
+  std::vector<uint32_t> candidates = std::move(per_tree[0]);
+  std::vector<uint32_t> next;
+  for (size_t m = 1; m < per_tree.size() && !candidates.empty(); ++m) {
+    next.clear();
+    std::set_intersection(candidates.begin(), candidates.end(),
+                          per_tree[m].begin(), per_tree[m].end(),
+                          std::back_inserter(next));
+    candidates.swap(next);
+  }
+  return candidates;
 }
 
 }  // namespace brep

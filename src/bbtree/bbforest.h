@@ -14,6 +14,8 @@
 
 namespace brep {
 
+class ThreadPool;
+
 /// Granularity of the per-subspace range filter.
 enum class FilterMode {
   /// Exact range search on index pages (Cayton NIPS'09, the algorithm the
@@ -100,14 +102,27 @@ class BBForest {
   }
   const PointStore& point_store() const { return *store_; }
 
-  /// Filter step: run the cluster-granularity range query in every subspace
+  /// Filter step of the kNN pipeline: run the range query in every subspace
   /// (query subvector `y_subs[m]`, radius `radii[m]`) and return the union
   /// of candidate ids (sorted, deduplicated). Theorem 3 guarantees the true
   /// kNN are inside when the radii are the components of the k-th smallest
   /// upper bound.
+  ///
+  /// When `pool` has workers and there is more than one subspace, each tree
+  /// is searched as its own pool task; the ids and the counters summed into
+  /// `stats` are the same either way.
   std::vector<uint32_t> RangeCandidatesUnion(
       std::span<const std::vector<double>> y_subs,
-      std::span<const double> radii, SearchStats* stats = nullptr) const;
+      std::span<const double> radii, SearchStats* stats = nullptr,
+      ThreadPool* pool = nullptr) const;
+
+  /// Filter step of the range pipeline: the per-subspace range query at
+  /// `radius` in every tree, intersected (sorted ascending). D decomposes
+  /// into non-negative per-subspace terms, so D(x, y) <= radius forces
+  /// D_m(x_m, y_m) <= radius in every subspace m. `pool` as above.
+  std::vector<uint32_t> RangeCandidatesIntersection(
+      std::span<const std::vector<double>> y_subs, double radius,
+      SearchStats* stats = nullptr, ThreadPool* pool = nullptr) const;
 
   FilterMode filter_mode() const { return filter_mode_; }
   /// Buffer-pool pages per disk tree (persisted so Open restores the same
@@ -137,6 +152,15 @@ class BBForest {
  private:
   /// Snapshot-clone constructor (see SnapshotClone).
   BBForest(const BBForest& writer, const PageSource* src);
+
+  /// The per-tree filter loop both pipelines share: tree m's range result
+  /// at `radii[m]`, sorted ascending (a tree holds each id once, so the
+  /// lists are duplicate-free), one pool task per tree when `pool` has
+  /// workers and M > 1. Counters are summed into `stats` (may be null).
+  std::vector<std::vector<uint32_t>> FilterEachTree(
+      std::span<const std::vector<double>> y_subs,
+      std::span<const double> radii, SearchStats* stats,
+      ThreadPool* pool) const;
 
   FilterMode filter_mode_;
   size_t pool_pages_ = 128;

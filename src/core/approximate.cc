@@ -37,19 +37,21 @@ std::vector<Neighbor> ApproximateBrePartition::KnnSearch(
 
   Timer total_timer;
   const IoStats io_before = exact_->pager()->stats();
+  // One pinned version serves the bound, the filter and the refinement.
+  const BrePartition::ReadView view = exact_->OpenReadView();
 
   // Exact bound phase (identical to BrePartition::KnnSearch).
   Timer bound_timer;
   const auto y_subs = exact_->GatherQuery(y);
   const auto triples = exact_->TransformQueryAll(y_subs);
-  const QueryBounds qb = QBDetermine(exact_->transformed(), triples, k);
+  const QueryBounds qb = QBDetermine(view.transformed(), triples, k);
 
   // Whole-space decomposition of the anchor's bound: kappa + mu.
   const size_t m = triples.size();
   double alpha_x = 0.0, gamma_x = 0.0;
   double alpha_y = 0.0, beta_yy = 0.0, delta_y = 0.0;
   for (size_t mi = 0; mi < m; ++mi) {
-    const PointTuple& t = exact_->transformed().At(qb.anchor_id, mi);
+    const PointTuple& t = view.transformed().At(qb.anchor_id, mi);
     alpha_x += t.alpha;
     gamma_x += t.gamma;
     alpha_y += triples[mi].alpha;
@@ -89,7 +91,8 @@ std::vector<Neighbor> ApproximateBrePartition::KnnSearch(
   st.radius_total = qb.total * c;
   st.bound_ms = bound_timer.ElapsedMillis();
 
-  auto result = exact_->FilterAndRefine(y, y_subs, radii, k, &st);
+  auto result = exact_->FilterAndRefineOn(view, y, y_subs, radii, k,
+                                          /*pool=*/nullptr, &st);
 
   st.io_reads = (exact_->pager()->stats() - io_before).reads;
   st.total_ms = total_timer.ElapsedMillis();

@@ -28,6 +28,34 @@ constexpr uint64_t kCatalogMagic = 0x3154414350455242ull;
 // layout, and the trees' mutation metadata (chunks, split config, counts).
 constexpr uint32_t kCatalogVersion = 2;
 
+/// A query's I/O, buffer-pool and wall-clock deltas: started before the
+/// bound phase, finished into its QueryStats after refinement. The pager
+/// and pool counters are shared, so the deltas are approximate when
+/// queries overlap; the logical counters are exact.
+class QueryMeter {
+ public:
+  QueryMeter(const Pager& pager, const BBForest& forest)
+      : pager_(pager),
+        forest_(forest),
+        io_before_(pager.stats()),
+        pool_before_(forest.pool_traffic()) {}
+
+  void Finish(QueryStats* st) const {
+    st->io_reads = (pager_.stats() - io_before_).reads;
+    const BBForest::PoolTraffic pool_after = forest_.pool_traffic();
+    st->pool_hits = pool_after.hits - pool_before_.hits;
+    st->pool_misses = pool_after.misses - pool_before_.misses;
+    st->total_ms = timer_.ElapsedMillis();
+  }
+
+ private:
+  Timer timer_;
+  const Pager& pager_;
+  const BBForest& forest_;
+  IoStats io_before_;
+  BBForest::PoolTraffic pool_before_;
+};
+
 }  // namespace
 
 BrePartition::BrePartition(Pager* pager, const Matrix& data,
@@ -690,25 +718,17 @@ std::vector<QueryTriple> BrePartition::TransformQueryAll(
   return triples;
 }
 
-std::vector<Neighbor> BrePartition::FilterAndRefine(
-    std::span<const double> y, std::span<const std::vector<double>> y_subs,
-    std::span<const double> radii, size_t k, QueryStats* stats) const {
-  const ReadView view = OpenReadView();
-  return FilterAndRefineOn(view.forest(), y, y_subs, radii, k, stats);
-}
-
 std::vector<Neighbor> BrePartition::FilterAndRefineOn(
-    const BBForest& forest, std::span<const double> y,
+    const ReadView& view, std::span<const double> y,
     std::span<const std::vector<double>> y_subs, std::span<const double> radii,
-    size_t k, QueryStats* stats) const {
-  QueryStats local;
-  QueryStats& st = stats != nullptr ? *stats : local;
+    size_t k, ThreadPool* pool, QueryStats* stats) const {
+  QueryStats& st = *stats;
 
-  // Filter: cluster-granularity range queries over every subspace tree.
+  // Filter: per-subspace range queries over every subspace tree.
   Timer filter_timer;
   SearchStats tree_stats;
   const std::vector<uint32_t> candidates =
-      forest.RangeCandidatesUnion(y_subs, radii, &tree_stats);
+      view.forest().RangeCandidatesUnion(y_subs, radii, &tree_stats, pool);
   st.filter_ms += filter_timer.ElapsedMillis();
   st.nodes_visited += tree_stats.nodes_visited;
   st.leaves_visited += tree_stats.leaves_visited;
@@ -718,7 +738,7 @@ std::vector<Neighbor> BrePartition::FilterAndRefineOn(
   // Refine: fetch candidates (page-batched) and evaluate exactly.
   Timer refine_timer;
   TopK topk(k);
-  forest.point_store().FetchMany(
+  view.forest().point_store().FetchMany(
       candidates, [&](uint32_t id, std::span<const double> x) {
         topk.Push(div_.Divergence(x, y), id);
       });
@@ -774,6 +794,13 @@ std::vector<Neighbor> BrePartition::KnnSearch(std::span<const double> y,
   // Lock-free against Insert/Delete/Save: the whole query reads one
   // pinned version; any number of queries and one writer may overlap.
   const ReadView view = OpenReadView();
+  return KnnSearch(view, y, k, /*pool=*/nullptr, stats);
+}
+
+std::vector<Neighbor> BrePartition::KnnSearch(const ReadView& view,
+                                              std::span<const double> y,
+                                              size_t k, ThreadPool* pool,
+                                              QueryStats* stats) const {
   BREP_CHECK(y.size() == div_.dim());
   BREP_CHECK(k >= 1);
   QueryStats local;
@@ -785,9 +812,7 @@ std::vector<Neighbor> BrePartition::KnnSearch(std::span<const double> y,
   k = std::min(k, view.num_points());
   if (k == 0) return {};
 
-  Timer total_timer;
-  const IoStats io_before = pager_->stats();
-  const BBForest::PoolTraffic pool_before = view.forest().pool_traffic();
+  const QueryMeter meter(*pager_, view.forest());
 
   // Bound phase: Algorithms 3 + 4.
   Timer bound_timer;
@@ -797,17 +822,63 @@ std::vector<Neighbor> BrePartition::KnnSearch(std::span<const double> y,
   st.bound_ms = bound_timer.ElapsedMillis();
   st.radius_total = qb.total;
 
-  auto result = FilterAndRefineOn(view.forest(), y, y_subs, qb.radii, k, &st);
+  auto result = FilterAndRefineOn(view, y, y_subs, qb.radii, k, pool, &st);
 
-  st.io_reads = (pager_->stats() - io_before).reads;
-  const BBForest::PoolTraffic pool_after = view.forest().pool_traffic();
-  st.pool_hits = pool_after.hits - pool_before.hits;
-  st.pool_misses = pool_after.misses - pool_before.misses;
-  st.total_ms = total_timer.ElapsedMillis();
-
+  meter.Finish(&st);
   obs::QueryRecordContext ctx;
   ctx.op = 'k';
   ctx.k = k;
+  ctx.results = result.size();
+  obs::RecordQuery(im_, trace_, st, ctx, obs::CurrentThreadStripe());
+  return result;
+}
+
+std::vector<uint32_t> BrePartition::RangeSearch(std::span<const double> y,
+                                                double radius,
+                                                QueryStats* stats) const {
+  const ReadView view = OpenReadView();
+  return RangeSearch(view, y, radius, /*pool=*/nullptr, stats);
+}
+
+std::vector<uint32_t> BrePartition::RangeSearch(const ReadView& view,
+                                                std::span<const double> y,
+                                                double radius,
+                                                ThreadPool* pool,
+                                                QueryStats* stats) const {
+  BREP_CHECK(y.size() == div_.dim());
+  BREP_CHECK(radius >= 0.0);
+  QueryStats local;
+  QueryStats& st = stats != nullptr ? *stats : local;
+  st = QueryStats{};
+
+  const QueryMeter meter(*pager_, view.forest());
+  const auto y_subs = GatherQuery(y);
+
+  Timer filter_timer;
+  SearchStats tree_stats;
+  const std::vector<uint32_t> candidates =
+      view.forest().RangeCandidatesIntersection(y_subs, radius, &tree_stats,
+                                                pool);
+  st.filter_ms = filter_timer.ElapsedMillis();
+  st.nodes_visited = tree_stats.nodes_visited;
+  st.leaves_visited = tree_stats.leaves_visited;
+  st.points_evaluated = tree_stats.points_evaluated;
+  st.candidates = candidates.size();
+  st.radius_total = radius;
+
+  Timer refine_timer;
+  std::vector<uint32_t> result;
+  view.forest().point_store().FetchMany(
+      candidates, [&](uint32_t id, std::span<const double> x) {
+        if (div_.Divergence(x, y) <= radius) result.push_back(id);
+      });
+  std::sort(result.begin(), result.end());
+  st.refine_ms = refine_timer.ElapsedMillis();
+
+  meter.Finish(&st);
+  obs::QueryRecordContext ctx;
+  ctx.op = 'r';
+  ctx.radius = radius;
   ctx.results = result.size();
   obs::RecordQuery(im_, trace_, st, ctx, obs::CurrentThreadStripe());
   return result;

@@ -29,6 +29,8 @@
 
 namespace brep {
 
+class ThreadPool;
+
 /// The paper's contribution: exact high-dimensional kNN search with Bregman
 /// distances via the partition-filter-refinement framework.
 ///
@@ -163,9 +165,30 @@ class BrePartition {
   static std::unique_ptr<BrePartition> Open(Pager* pager,
                                             std::string* error = nullptr);
 
-  /// Exact kNN of `y` (minimizing D(x, y)).
+  /// Exact kNN of `y` (minimizing D(x, y)) on a freshly pinned view.
   std::vector<Neighbor> KnnSearch(std::span<const double> y, size_t k,
                                   QueryStats* stats = nullptr) const;
+
+  /// Exact kNN on a caller-pinned view (a batch pins one view for all of
+  /// its queries). When `pool` has workers and M > 1 the per-subspace
+  /// filter runs one task per tree; results and logical counters are the
+  /// same with or without it. Every call records its QueryStats into the
+  /// index's metrics and trace log.
+  std::vector<Neighbor> KnnSearch(const ReadView& view,
+                                  std::span<const double> y, size_t k,
+                                  ThreadPool* pool, QueryStats* stats) const;
+
+  /// Exact range query: ids with D(x, y) <= radius, ascending. The filter
+  /// intersects the per-subspace range results (a tighter candidate set
+  /// than the kNN union, see BBForest::RangeCandidatesIntersection) before
+  /// exact refinement.
+  std::vector<uint32_t> RangeSearch(std::span<const double> y, double radius,
+                                    QueryStats* stats = nullptr) const;
+
+  /// Range query on a caller-pinned view; `pool` as for KnnSearch.
+  std::vector<uint32_t> RangeSearch(const ReadView& view,
+                                    std::span<const double> y, double radius,
+                                    ThreadPool* pool, QueryStats* stats) const;
 
   /// Dynamic updates (the paper's future-work extension) ----------------
   ///
@@ -323,12 +346,16 @@ class BrePartition {
   std::vector<QueryTriple> TransformQueryAll(
       std::span<const std::vector<double>> y_subs) const;
 
-  /// Filter + refine with externally supplied radii (the approximate
-  /// extension shrinks the exact radii before calling this).
-  std::vector<Neighbor> FilterAndRefine(
-      std::span<const double> y,
+  /// The kNN pipeline after its bound phase: filter the view's forest with
+  /// the given per-subspace radii, then refine the candidates exactly into
+  /// the top k. Adds filter/refine times and work counters to `stats`
+  /// (required); records no metrics. The approximate extension shrinks the
+  /// exact radii before calling this.
+  std::vector<Neighbor> FilterAndRefineOn(
+      const ReadView& view, std::span<const double> y,
       std::span<const std::vector<double>> y_subs,
-      std::span<const double> radii, size_t k, QueryStats* stats) const;
+      std::span<const double> radii, size_t k, ThreadPool* pool,
+      QueryStats* stats) const;
 
  private:
   /// Open() path: remaining members are filled from the decoded catalog.
@@ -346,12 +373,6 @@ class BrePartition {
   /// Called before FlushToBase: a version older than the flush could read
   /// post-flush backend bytes through its table's backend references.
   void DrainRetiredLocked() const;
-
-  /// FilterAndRefine body against an explicit version's forest.
-  std::vector<Neighbor> FilterAndRefineOn(
-      const BBForest& forest, std::span<const double> y,
-      std::span<const std::vector<double>> y_subs,
-      std::span<const double> radii, size_t k, QueryStats* stats) const;
 
   Pager* pager_ = nullptr;
   const Matrix* data_ = nullptr;

@@ -3,9 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "bbtree/bbtree.h"
 
 namespace brep {
 
@@ -38,54 +35,12 @@ struct EngineStats {
   /// schedule-independent.
   uint64_t pool_hits = 0;
   uint64_t pool_misses = 0;
+  /// Sum of the queries' total searching bounds (diagnostic; summed in
+  /// query order, so identical for every thread count).
+  double radius_total = 0.0;
   double wall_ms = 0.0;
 
   double Qps() const { return wall_ms > 0.0 ? queries * 1e3 / wall_ms : 0.0; }
-};
-
-/// One execution lane's private counters, padded to a cache line so two
-/// lanes never write the same line (no locks, no false sharing on the hot
-/// path).
-struct alignas(64) EngineLaneStats {
-  uint64_t queries = 0;
-  uint64_t candidates = 0;
-  SearchStats search;
-
-  void AddSearch(const SearchStats& s) {
-    search.nodes_visited += s.nodes_visited;
-    search.leaves_visited += s.leaves_visited;
-    search.points_evaluated += s.points_evaluated;
-  }
-};
-
-/// Per-lane stats slots for a ThreadPool's lanes. Each lane mutates only
-/// its own slot during a parallel region; Merge() sums them once the
-/// region has joined, so the hot path never takes a lock.
-class EngineStatsAggregator {
- public:
-  explicit EngineStatsAggregator(size_t num_lanes) : slots_(num_lanes) {}
-
-  EngineLaneStats& slot(size_t lane) { return slots_[lane]; }
-
-  void Reset() {
-    for (EngineLaneStats& s : slots_) s = EngineLaneStats{};
-  }
-
-  /// Sum of every lane's counters. Only valid between parallel regions.
-  EngineStats Merge() const {
-    EngineStats out;
-    for (const EngineLaneStats& s : slots_) {
-      out.queries += s.queries;
-      out.candidates += s.candidates;
-      out.nodes_visited += s.search.nodes_visited;
-      out.leaves_visited += s.search.leaves_visited;
-      out.points_evaluated += s.search.points_evaluated;
-    }
-    return out;
-  }
-
- private:
-  std::vector<EngineLaneStats> slots_;
 };
 
 }  // namespace brep

@@ -1,11 +1,9 @@
 #include "engine/query_engine.h"
 
-#include <algorithm>
 #include <thread>
 
 #include "common/check.h"
 #include "common/timer.h"
-#include "core/bound.h"
 
 namespace brep {
 
@@ -17,194 +15,52 @@ size_t ResolveThreads(size_t requested) {
   return hw > 0 ? hw : 1;
 }
 
+/// Run `run_one(qi, pool, &qstats)` for every query of a batch on `view`:
+/// a lone query fans its filter out over `pool`, wider batches run one
+/// query per task. `stats` receives the per-query QueryStats summed in
+/// query order (so the floating-point radius_total does not depend on the
+/// schedule) plus the batch's pager/pool deltas and wall clock.
+template <typename Result, typename RunOne>
+std::vector<Result> RunBatch(const BrePartition& index, ThreadPool& pool,
+                             const BrePartition::ReadView& view, size_t n,
+                             EngineStats* stats, const RunOne& run_one) {
+  std::vector<Result> results(n);
+  std::vector<QueryStats> per_query(n);
+  const IoStats io_before = index.pager()->stats();
+  const BBForest::PoolTraffic pool_before = view.forest().pool_traffic();
+  Timer wall;
+  if (n == 1) {
+    results[0] = run_one(0, &pool, &per_query[0]);
+  } else {
+    pool.ParallelFor(n, [&](size_t qi, size_t) {
+      results[qi] = run_one(qi, nullptr, &per_query[qi]);
+    });
+  }
+  if (stats != nullptr) {
+    EngineStats out;
+    for (const QueryStats& q : per_query) {
+      ++out.queries;
+      out.candidates += q.candidates;
+      out.nodes_visited += q.nodes_visited;
+      out.leaves_visited += q.leaves_visited;
+      out.points_evaluated += q.points_evaluated;
+      out.radius_total += q.radius_total;
+    }
+    out.io_reads = (index.pager()->stats() - io_before).reads;
+    const BBForest::PoolTraffic pool_after = view.forest().pool_traffic();
+    out.pool_hits = pool_after.hits - pool_before.hits;
+    out.pool_misses = pool_after.misses - pool_before.misses;
+    out.wall_ms = wall.ElapsedMillis();
+    *stats = out;
+  }
+  return results;
+}
+
 }  // namespace
 
 QueryEngine::QueryEngine(const BrePartition& index,
                          const QueryEngineOptions& options)
-    : index_(&index),
-      options_(options),
-      pool_(ResolveThreads(options.num_threads) - 1),
-      agg_(pool_.num_lanes()) {}
-
-std::vector<std::vector<uint32_t>> QueryEngine::FilterAllTrees(
-    const BBForest& forest, std::span<const std::vector<double>> y_subs,
-    std::span<const double> radii, bool parallel, bool sorted,
-    SearchStats* agg) const {
-  const size_t m_trees = forest.num_partitions();
-  std::vector<std::vector<uint32_t>> per_tree(m_trees);
-  std::vector<SearchStats> per_stats(m_trees);
-
-  auto run_tree = [&](size_t m) {
-    const DiskBBTree& tree = forest.tree(m);
-    per_tree[m] = forest.filter_mode() == FilterMode::kExactRange
-                      ? tree.RangeSearchExact(y_subs[m], radii[m],
-                                              &per_stats[m])
-                      : tree.RangeCandidates(y_subs[m], radii[m],
-                                             &per_stats[m]);
-    if (sorted) std::sort(per_tree[m].begin(), per_tree[m].end());
-  };
-
-  if (parallel && m_trees > 1 && pool_.num_workers() > 0) {
-    pool_.ParallelFor(m_trees, [&](size_t m, size_t) { run_tree(m); });
-  } else {
-    for (size_t m = 0; m < m_trees; ++m) run_tree(m);
-  }
-
-  for (const SearchStats& s : per_stats) {
-    agg->nodes_visited += s.nodes_visited;
-    agg->leaves_visited += s.leaves_visited;
-    agg->points_evaluated += s.points_evaluated;
-  }
-  return per_tree;
-}
-
-std::vector<Neighbor> QueryEngine::KnnOne(const BrePartition::ReadView& view,
-                                          std::span<const double> y, size_t k,
-                                          size_t lane,
-                                          EngineLaneStats* lane_slot,
-                                          bool parallel_filter,
-                                          QueryStats* qstats) const {
-  // Every query gets full per-query stats -- either the caller's sink or a
-  // local one -- so batched queries feed the latency histograms and the
-  // slow-query log exactly like single calls.
-  QueryStats local;
-  QueryStats& q = qstats != nullptr ? *qstats : local;
-  Timer total_timer;
-  const IoStats io_before = index_->pager()->stats();
-  const BBForest::PoolTraffic pool_before = view.forest().pool_traffic();
-
-  // Bound phase (Algorithms 3 + 4).
-  Timer bound_timer;
-  const auto y_subs = index_->GatherQuery(y);
-  const auto triples = index_->TransformQueryAll(y_subs);
-  const QueryBounds qb = QBDetermine(view.transformed(), triples, k);
-  q.bound_ms += bound_timer.ElapsedMillis();
-  q.radius_total = qb.total;
-
-  // Filter: per-subspace range queries, union of candidates (Theorem 3:
-  // a true neighbor's subspace divergences cannot all exceed the radii).
-  Timer filter_timer;
-  SearchStats fstats;
-  const auto per_tree = FilterAllTrees(view.forest(), y_subs, qb.radii,
-                                       parallel_filter,
-                                       /*sorted=*/false, &fstats);
-  std::vector<uint32_t> candidates;
-  {
-    size_t total = 0;
-    for (const auto& v : per_tree) total += v.size();
-    candidates.reserve(total);
-    for (const auto& v : per_tree) {
-      candidates.insert(candidates.end(), v.begin(), v.end());
-    }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-  }
-  q.filter_ms += filter_timer.ElapsedMillis();
-  q.nodes_visited += fstats.nodes_visited;
-  q.leaves_visited += fstats.leaves_visited;
-  q.points_evaluated += fstats.points_evaluated;
-  q.candidates += candidates.size();
-
-  // Refine: fetch candidates page-batched and evaluate exactly.
-  Timer refine_timer;
-  TopK topk(k);
-  const BregmanDivergence& div = index_->divergence();
-  view.forest().point_store().FetchMany(
-      candidates, [&](uint32_t id, std::span<const double> x) {
-        topk.Push(div.Divergence(x, y), id);
-      });
-  q.refine_ms += refine_timer.ElapsedMillis();
-
-  if (lane_slot != nullptr) {
-    ++lane_slot->queries;
-    lane_slot->candidates += candidates.size();
-    lane_slot->AddSearch(fstats);
-  }
-
-  auto result = topk.SortedResults();
-  // I/O and pool deltas are approximate when queries overlap (shared
-  // counters, see the class comment); the logical counters above are not.
-  q.io_reads = (index_->pager()->stats() - io_before).reads;
-  const BBForest::PoolTraffic pool_after = view.forest().pool_traffic();
-  q.pool_hits = pool_after.hits - pool_before.hits;
-  q.pool_misses = pool_after.misses - pool_before.misses;
-  q.total_ms = total_timer.ElapsedMillis();
-  obs::QueryRecordContext ctx;
-  ctx.op = 'k';
-  ctx.k = k;
-  ctx.results = result.size();
-  obs::RecordQuery(index_->index_metrics(), index_->trace_log(), q, ctx, lane);
-  return result;
-}
-
-std::vector<uint32_t> QueryEngine::RangeOne(const BrePartition::ReadView& view,
-                                            std::span<const double> y,
-                                            double radius, size_t lane,
-                                            EngineLaneStats* lane_slot,
-                                            bool parallel_filter,
-                                            QueryStats* qstats) const {
-  QueryStats local;
-  QueryStats& q = qstats != nullptr ? *qstats : local;
-  Timer total_timer;
-  const IoStats io_before = index_->pager()->stats();
-  const BBForest::PoolTraffic pool_before = view.forest().pool_traffic();
-
-  const size_t m_trees = view.forest().num_partitions();
-  const auto y_subs = index_->GatherQuery(y);
-  const std::vector<double> radii(m_trees, radius);
-
-  Timer filter_timer;
-  SearchStats fstats;
-  const auto per_tree = FilterAllTrees(view.forest(), y_subs, radii,
-                                       parallel_filter,
-                                       /*sorted=*/true, &fstats);
-  // Intersection across subspaces: D decomposes into non-negative terms,
-  // so D(x, y) <= radius forces D_m(x_m, y_m) <= radius for every m.
-  std::vector<uint32_t> candidates = per_tree[0];
-  std::vector<uint32_t> next;
-  for (size_t m = 1; m < m_trees && !candidates.empty(); ++m) {
-    next.clear();
-    std::set_intersection(candidates.begin(), candidates.end(),
-                          per_tree[m].begin(), per_tree[m].end(),
-                          std::back_inserter(next));
-    candidates.swap(next);
-  }
-  q.filter_ms += filter_timer.ElapsedMillis();
-  q.nodes_visited += fstats.nodes_visited;
-  q.leaves_visited += fstats.leaves_visited;
-  q.points_evaluated += fstats.points_evaluated;
-  q.candidates += candidates.size();
-  q.radius_total = radius;
-
-  Timer refine_timer;
-  std::vector<uint32_t> result;
-  const BregmanDivergence& div = index_->divergence();
-  view.forest().point_store().FetchMany(
-      candidates, [&](uint32_t id, std::span<const double> x) {
-        if (div.Divergence(x, y) <= radius) result.push_back(id);
-      });
-  std::sort(result.begin(), result.end());
-  q.refine_ms += refine_timer.ElapsedMillis();
-
-  if (lane_slot != nullptr) {
-    ++lane_slot->queries;
-    lane_slot->candidates += candidates.size();
-    lane_slot->AddSearch(fstats);
-  }
-
-  q.io_reads = (index_->pager()->stats() - io_before).reads;
-  const BBForest::PoolTraffic pool_after = view.forest().pool_traffic();
-  q.pool_hits = pool_after.hits - pool_before.hits;
-  q.pool_misses = pool_after.misses - pool_before.misses;
-  q.total_ms = total_timer.ElapsedMillis();
-  obs::QueryRecordContext ctx;
-  ctx.op = 'r';
-  ctx.radius = radius;
-  ctx.results = result.size();
-  obs::RecordQuery(index_->index_metrics(), index_->trace_log(), q, ctx, lane);
-  return result;
-}
+    : index_(&index), pool_(ResolveThreads(options.num_threads) - 1) {}
 
 std::vector<Neighbor> QueryEngine::KnnSearch(std::span<const double> y,
                                              size_t k,
@@ -212,44 +68,14 @@ std::vector<Neighbor> QueryEngine::KnnSearch(std::span<const double> y,
   // One pinned version for the whole call; no lock taken (a churning
   // writer keeps publishing without stalling this query).
   const BrePartition::ReadView view = index_->OpenReadView();
-  BREP_CHECK(y.size() == index_->divergence().dim());
-  BREP_CHECK(k >= 1);
-  // Clamp against the pinned version: a writer may have shrunk the index
-  // between the caller's validation and the pin (benign race, not an
-  // abort).
-  k = std::min(k, view.num_points());
-  QueryStats local;
-  QueryStats& st = stats != nullptr ? *stats : local;
-  st = QueryStats{};
-  if (k == 0) return {};
-
-  Timer total_timer;
-  const IoStats io_before = index_->pager()->stats();
-  auto result = KnnOne(view, y, k, pool_.num_workers(), /*lane_slot=*/nullptr,
-                       options_.parallel_filter, &st);
-  st.io_reads = (index_->pager()->stats() - io_before).reads;
-  st.total_ms = total_timer.ElapsedMillis();
-  return result;
+  return index_->KnnSearch(view, y, k, &pool_, stats);
 }
 
 std::vector<uint32_t> QueryEngine::RangeSearch(std::span<const double> y,
                                                double radius,
                                                QueryStats* stats) const {
-  // One pinned version for the whole call; no lock taken.
   const BrePartition::ReadView view = index_->OpenReadView();
-  BREP_CHECK(y.size() == index_->divergence().dim());
-  BREP_CHECK(radius >= 0.0);
-  QueryStats local;
-  QueryStats& st = stats != nullptr ? *stats : local;
-  st = QueryStats{};
-
-  Timer total_timer;
-  const IoStats io_before = index_->pager()->stats();
-  auto result = RangeOne(view, y, radius, pool_.num_workers(),
-                         /*lane_slot=*/nullptr, options_.parallel_filter, &st);
-  st.io_reads = (index_->pager()->stats() - io_before).reads;
-  st.total_ms = total_timer.ElapsedMillis();
-  return result;
+  return index_->RangeSearch(view, y, radius, &pool_, stats);
 }
 
 std::vector<std::vector<Neighbor>> QueryEngine::KnnSearchBatch(
@@ -259,38 +85,17 @@ std::vector<std::vector<Neighbor>> QueryEngine::KnnSearchBatch(
   const BrePartition::ReadView view = index_->OpenReadView();
   BREP_CHECK(queries.cols() == index_->divergence().dim());
   BREP_CHECK(k >= 1);
-  k = std::min(k, view.num_points());  // benign-race clamp, as above
-  const size_t n = queries.rows();
-  std::vector<std::vector<Neighbor>> results(n);
-  if (k == 0) {
+  // A writer may have emptied the index between the caller's validation
+  // and the pin: nothing to search (a benign race, not an abort).
+  if (view.num_points() == 0) {
     if (stats != nullptr) *stats = EngineStats{};
-    return results;
+    return std::vector<std::vector<Neighbor>>(queries.rows());
   }
-
-  agg_.Reset();
-  const IoStats io_before = index_->pager()->stats();
-  const BBForest::PoolTraffic pool_before = view.forest().pool_traffic();
-  Timer wall;
-  if (n == 1) {
-    // A lone query still benefits from per-subspace fan-out.
-    results[0] = KnnOne(view, queries.Row(0), k, pool_.num_workers(),
-                        &agg_.slot(pool_.num_workers()),
-                        options_.parallel_filter, nullptr);
-  } else {
-    pool_.ParallelFor(n, [&](size_t qi, size_t lane) {
-      results[qi] = KnnOne(view, queries.Row(qi), k, lane, &agg_.slot(lane),
-                           /*parallel_filter=*/false, nullptr);
-    });
-  }
-  if (stats != nullptr) {
-    *stats = agg_.Merge();
-    stats->io_reads = (index_->pager()->stats() - io_before).reads;
-    const BBForest::PoolTraffic pool_after = view.forest().pool_traffic();
-    stats->pool_hits = pool_after.hits - pool_before.hits;
-    stats->pool_misses = pool_after.misses - pool_before.misses;
-    stats->wall_ms = wall.ElapsedMillis();
-  }
-  return results;
+  return RunBatch<std::vector<Neighbor>>(
+      *index_, pool_, view, queries.rows(), stats,
+      [&](size_t qi, ThreadPool* pool, QueryStats* qs) {
+        return index_->KnnSearch(view, queries.Row(qi), k, pool, qs);
+      });
 }
 
 std::vector<std::vector<uint32_t>> QueryEngine::RangeSearchBatch(
@@ -298,34 +103,11 @@ std::vector<std::vector<uint32_t>> QueryEngine::RangeSearchBatch(
   // One pinned version for the WHOLE batch (prefix consistency).
   const BrePartition::ReadView view = index_->OpenReadView();
   BREP_CHECK(queries.cols() == index_->divergence().dim());
-  BREP_CHECK(radius >= 0.0);
-  const size_t n = queries.rows();
-  std::vector<std::vector<uint32_t>> results(n);
-
-  agg_.Reset();
-  const IoStats io_before = index_->pager()->stats();
-  const BBForest::PoolTraffic pool_before = view.forest().pool_traffic();
-  Timer wall;
-  if (n == 1) {
-    results[0] = RangeOne(view, queries.Row(0), radius, pool_.num_workers(),
-                          &agg_.slot(pool_.num_workers()),
-                          options_.parallel_filter, nullptr);
-  } else {
-    pool_.ParallelFor(n, [&](size_t qi, size_t lane) {
-      results[qi] = RangeOne(view, queries.Row(qi), radius, lane,
-                             &agg_.slot(lane),
-                             /*parallel_filter=*/false, nullptr);
-    });
-  }
-  if (stats != nullptr) {
-    *stats = agg_.Merge();
-    stats->io_reads = (index_->pager()->stats() - io_before).reads;
-    const BBForest::PoolTraffic pool_after = view.forest().pool_traffic();
-    stats->pool_hits = pool_after.hits - pool_before.hits;
-    stats->pool_misses = pool_after.misses - pool_before.misses;
-    stats->wall_ms = wall.ElapsedMillis();
-  }
-  return results;
+  return RunBatch<std::vector<uint32_t>>(
+      *index_, pool_, view, queries.rows(), stats,
+      [&](size_t qi, ThreadPool* pool, QueryStats* qs) {
+        return index_->RangeSearch(view, queries.Row(qi), radius, pool, qs);
+      });
 }
 
 }  // namespace brep

@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "bbtree/bbtree.h"
 #include "common/top_k.h"
 #include "core/brepartition.h"
 #include "core/stats.h"
@@ -21,44 +20,29 @@ struct QueryEngineOptions {
   /// on the caller (the reference mode every parallel result is checked
   /// against).
   size_t num_threads = 0;
-  /// For single-query calls, fan the per-subspace filter out across the
-  /// pool (one task per subspace tree). Batched calls parallelize across
-  /// queries instead and run each query's filter serially.
-  bool parallel_filter = true;
 };
 
-/// Concurrent serving layer over a BrePartition index.
+/// Concurrent serving layer over a BrePartition index. The engine only
+/// schedules: every query runs BrePartition's own bound -> filter -> refine
+/// pipeline (KnnSearch / RangeSearch on a pinned view), and the engine
+/// decides which threads run it.
 ///
-/// The paper's query pipeline (Algorithm 6) is bound -> filter -> refine,
-/// and the filter step is embarrassingly parallel: the M subspace trees are
-/// independent read-only structures. The engine exploits that two ways:
+///  * KnnSearch / RangeSearch (single query) and one-row batches: the
+///    query's per-subspace filter fans out over the pool, one task per
+///    subspace tree.
+///  * KnnSearchBatch / RangeSearchBatch: one task per query, each running
+///    its filter serially, which scales better than per-subspace fan-out
+///    once the batch is at least as wide as the pool. Batch stats are the
+///    per-query QueryStats summed in query order after the join.
 ///
-///  * KnnSearch / RangeSearch (single query): one filter task per subspace
-///    tree, candidate union/intersection merged on the caller.
-///  * KnnSearchBatch / RangeSearchBatch: one task per query; each query
-///    runs the full sequential pipeline on one lane, which scales better
-///    than per-subspace fan-out once the batch is at least as wide as the
-///    pool.
-///
-/// Results are byte-identical to the sequential BrePartition::KnnSearch for
-/// every thread count: per-tree search is deterministic, the candidate
-/// union is sorted and deduplicated before refinement, and TopK breaks
-/// distance ties by id.
+/// Results and logical counters are identical to the sequential
+/// BrePartition calls for every thread count: per-tree search is
+/// deterministic, the candidate sets are sorted before refinement, and
+/// TopK breaks distance ties by id.
 ///
 /// Consistency: every entry point pins ONE BrePartition::ReadView for the
 /// whole call -- batches included -- so all queries of a batch observe one
-/// published index version, without any query path ever acquiring the
-/// writer's mutex (reads are lock-free; a churning writer cannot stall
-/// them).
-///
-/// Thread-safety: concurrent calls into one QueryEngine are not supported
-/// (the engine parallelizes internally and reuses per-lane stats slots);
-/// the underlying index IS safe to share between several engines because
-/// DiskBBTree/BufferPool/Pager reads are re-entrant. Caveat when sharing:
-/// `io_reads` in QueryStats/EngineStats is a delta over the index's single
-/// Pager counter, so engines running concurrently over one index count
-/// each other's reads -- results stay exact, but attribute per-engine I/O
-/// only when one engine is active at a time.
+/// published index version without taking the writer's mutex.
 class QueryEngine {
  public:
   /// `index` must outlive the engine.
@@ -72,12 +56,10 @@ class QueryEngine {
   size_t num_threads() const { return pool_.num_lanes(); }
   const BrePartition& index() const { return *index_; }
   /// The engine's worker pool, for callers that schedule their own
-  /// independent tasks over it (the kNN-join's R-subtree descents). Same
-  /// caveat as the engine itself: one call at a time.
+  /// independent tasks over it (the kNN-join's R-subtree descents).
   ThreadPool& thread_pool() const { return pool_; }
 
-  /// Exact kNN, identical to BrePartition::KnnSearch; the filter phase
-  /// fans out across the pool when parallel_filter is set.
+  /// Exact kNN, identical to BrePartition::KnnSearch.
   std::vector<Neighbor> KnnSearch(std::span<const double> y, size_t k,
                                   QueryStats* stats = nullptr) const;
 
@@ -87,11 +69,7 @@ class QueryEngine {
   std::vector<std::vector<Neighbor>> KnnSearchBatch(
       const Matrix& queries, size_t k, EngineStats* stats = nullptr) const;
 
-  /// Exact range query: ids with D(x, y) <= radius, ascending. Because the
-  /// divergence decomposes as a sum of non-negative per-subspace terms,
-  /// every qualifying point satisfies D_m(x_m, y_m) <= radius in EVERY
-  /// subspace, so the filter intersects the per-tree range results (a
-  /// tighter candidate set than the kNN union) before exact refinement.
+  /// Exact range query, identical to BrePartition::RangeSearch.
   std::vector<uint32_t> RangeSearch(std::span<const double> y, double radius,
                                     QueryStats* stats = nullptr) const;
 
@@ -101,36 +79,8 @@ class QueryEngine {
       EngineStats* stats = nullptr) const;
 
  private:
-  /// Per-subspace filter over all M trees; returns the per-tree id lists,
-  /// each sorted ascending when `sorted` is set (the range path's
-  /// set_intersection needs that; the kNN union re-sorts anyway). Search
-  /// counters are summed into `agg`.
-  std::vector<std::vector<uint32_t>> FilterAllTrees(
-      const BBForest& forest, std::span<const std::vector<double>> y_subs,
-      std::span<const double> radii, bool parallel, bool sorted,
-      SearchStats* agg) const;
-
-  /// `lane` stripes the atomic metric recorders (always safe to share);
-  /// `lane_slot` is the batch aggregator's plain-counter slot and must be
-  /// non-null ONLY when the caller owns that lane exclusively (batch
-  /// execution). Single-call entry points pass nullptr: their results are
-  /// fully reported through `qstats` + metrics, and concurrent callers
-  /// would otherwise race on the shared slot.
-  std::vector<Neighbor> KnnOne(const BrePartition::ReadView& view,
-                               std::span<const double> y, size_t k,
-                               size_t lane, EngineLaneStats* lane_slot,
-                               bool parallel_filter,
-                               QueryStats* qstats) const;
-  std::vector<uint32_t> RangeOne(const BrePartition::ReadView& view,
-                                 std::span<const double> y, double radius,
-                                 size_t lane, EngineLaneStats* lane_slot,
-                                 bool parallel_filter,
-                                 QueryStats* qstats) const;
-
   const BrePartition* index_;
-  QueryEngineOptions options_;
   mutable ThreadPool pool_;
-  mutable EngineStatsAggregator agg_;
 };
 
 }  // namespace brep

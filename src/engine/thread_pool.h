@@ -34,8 +34,8 @@ class ThreadPool {
   size_t num_workers() const { return workers_.size(); }
 
   /// Execution lanes visible to ParallelFor bodies: every worker plus the
-  /// calling thread. Lane indices identify per-thread state slots (e.g.
-  /// EngineStatsAggregator) that can be written without locks.
+  /// calling thread. Lane indices identify per-thread state slots that can
+  /// be written without locks.
   size_t num_lanes() const { return workers_.size() + 1; }
 
   /// Enqueue a task; it runs on some worker, which passes its lane index

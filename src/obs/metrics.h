@@ -19,14 +19,14 @@
 ///
 /// Hot-path contract: Record()/Add() are lock-free -- a handful of relaxed
 /// atomic RMWs on a cache-line-aligned stripe -- so instrumentation can sit
-/// inside the query and WAL fast paths without serializing them. The design
-/// follows EngineLaneStats: contributors write to per-stripe slots padded to
-/// a cache line (no false sharing), and the stripes are merged only at
-/// Snapshot() time. Unlike the engine aggregator, snapshots here are safe
-/// CONCURRENTLY with recording (relaxed atomics, monotone counters), so a
-/// metrics poller never has to quiesce the serving threads; a snapshot taken
-/// mid-storm is a consistent-enough view (each cell individually atomic,
-/// cells mutually torn by at most the in-flight operations).
+/// inside the query and WAL fast paths without serializing them.
+/// Contributors write to per-stripe slots padded to a cache line (no false
+/// sharing), and the stripes are merged only at Snapshot() time. Snapshots
+/// are safe CONCURRENTLY with recording (relaxed atomics, monotone
+/// counters), so a metrics poller never has to quiesce the serving threads;
+/// a snapshot taken mid-storm is a consistent-enough view (each cell
+/// individually atomic, cells mutually torn by at most the in-flight
+/// operations).
 
 namespace brep::obs {
 

@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "core/brepartition.h"
 #include "core/stats.h"
-#include "engine/query_engine.h"
 #include "obs/index_metrics.h"
 #include "storage/file_pager.h"
 
@@ -18,12 +17,7 @@ ReplicaIndex::ReplicaIndex(std::unique_ptr<Pager> pager,
                            std::unique_ptr<WalTransport> transport)
     : pager_(std::move(pager)),
       bp_(std::move(bp)),
-      reader_(std::move(transport)) {
-  QueryEngineOptions options;
-  options.num_threads = 1;
-  options.parallel_filter = false;
-  engine_ = std::make_unique<QueryEngine>(*bp_, options);
-}
+      reader_(std::move(transport)) {}
 
 ReplicaIndex::~ReplicaIndex() { StopTailing(); }
 
@@ -204,7 +198,7 @@ StatusOr<std::vector<Neighbor>> ReplicaIndex::KnnImpl(
 StatusOr<std::vector<uint32_t>> ReplicaIndex::RangeImpl(
     std::span<const double> y, double radius, Stats* stats) const {
   QueryStats qs;
-  auto result = engine_->RangeSearch(y, radius, &qs);
+  auto result = bp_->RangeSearch(y, radius, &qs);
   stats->Add(qs);
   return result;
 }

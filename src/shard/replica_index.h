@@ -30,7 +30,6 @@
 namespace brep {
 
 class BrePartition;
-class QueryEngine;
 
 class ReplicaIndex final : public SearchIndex {
  public:
@@ -104,8 +103,6 @@ class ReplicaIndex final : public SearchIndex {
 
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<BrePartition> bp_;
-  /// Sequential reference engine for the range path (mirrors brep::Index).
-  std::unique_ptr<QueryEngine> engine_;
 
   /// Shipping cursor; poll_mutex_ serializes polls (explicit Poll calls vs
   /// the tail thread) -- the reader's cursor is single-consumer state.

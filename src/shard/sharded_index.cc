@@ -284,9 +284,9 @@ std::vector<obs::QueryTraceEntry> ShardedIndex::SlowQueries() const {
   return out;
 }
 
-Status ShardedIndex::KnnOne(std::span<const double> y, size_t k,
-                            bool parallel, std::vector<Neighbor>* out,
-                            Stats* stats) const {
+Status ShardedIndex::ScatterKnn(std::span<const double> y, size_t k,
+                                bool parallel, std::vector<Neighbor>* out,
+                                Stats* stats) const {
   const size_t n = shards_.size();
   std::vector<std::vector<Neighbor>> per(n);
   std::vector<Stats> shard_stats(n);
@@ -321,9 +321,10 @@ Status ShardedIndex::KnnOne(std::span<const double> y, size_t k,
   return Status::Ok();
 }
 
-Status ShardedIndex::RangeOne(std::span<const double> y, double radius,
-                              bool parallel, std::vector<uint32_t>* out,
-                              Stats* stats) const {
+Status ShardedIndex::ScatterRange(std::span<const double> y,
+                                  double radius, bool parallel,
+                                  std::vector<uint32_t>* out,
+                                  Stats* stats) const {
   const size_t n = shards_.size();
   std::vector<std::vector<uint32_t>> per(n);
   std::vector<Stats> shard_stats(n);
@@ -358,14 +359,15 @@ Status ShardedIndex::RangeOne(std::span<const double> y, double radius,
 StatusOr<std::vector<Neighbor>> ShardedIndex::KnnImpl(
     std::span<const double> y, size_t k, Stats* stats) const {
   std::vector<Neighbor> out;
-  BREP_RETURN_IF_ERROR(KnnOne(y, k, /*parallel=*/true, &out, stats));
+  BREP_RETURN_IF_ERROR(ScatterKnn(y, k, /*parallel=*/true, &out, stats));
   return out;
 }
 
 StatusOr<std::vector<uint32_t>> ShardedIndex::RangeImpl(
     std::span<const double> y, double radius, Stats* stats) const {
   std::vector<uint32_t> out;
-  BREP_RETURN_IF_ERROR(RangeOne(y, radius, /*parallel=*/true, &out, stats));
+  BREP_RETURN_IF_ERROR(
+      ScatterRange(y, radius, /*parallel=*/true, &out, stats));
   return out;
 }
 
@@ -379,8 +381,8 @@ StatusOr<std::vector<std::vector<Neighbor>>> ShardedIndex::KnnBatchImpl(
   // (the lanes are already busy, nesting fan-outs would just add queueing).
   pool_->ParallelFor(queries.rows(), [&](size_t q, size_t lane) {
     if (!lane_status[lane].ok()) return;
-    lane_status[lane] = KnnOne(queries.Row(q), k, /*parallel=*/false,
-                               &out[q], &lane_stats[lane]);
+    lane_status[lane] = ScatterKnn(queries.Row(q), k, /*parallel=*/false,
+                                   &out[q], &lane_stats[lane]);
   });
   for (size_t lane = 0; lane < lanes; ++lane) {
     BREP_RETURN_IF_ERROR(lane_status[lane]);
@@ -397,8 +399,9 @@ StatusOr<std::vector<std::vector<uint32_t>>> ShardedIndex::RangeBatchImpl(
   std::vector<Status> lane_status(lanes);
   pool_->ParallelFor(queries.rows(), [&](size_t q, size_t lane) {
     if (!lane_status[lane].ok()) return;
-    lane_status[lane] = RangeOne(queries.Row(q), radius, /*parallel=*/false,
-                                 &out[q], &lane_stats[lane]);
+    lane_status[lane] = ScatterRange(queries.Row(q), radius,
+                                     /*parallel=*/false, &out[q],
+                                     &lane_stats[lane]);
   });
   for (size_t lane = 0; lane < lanes; ++lane) {
     BREP_RETURN_IF_ERROR(lane_status[lane]);

@@ -149,10 +149,11 @@ class ShardedIndex final : public SearchIndex {
   /// One query's scatter-gather; `parallel` fans the shard scatter over
   /// the pool (single-query path) or runs it inline (batch rows already
   /// occupy the lanes).
-  Status KnnOne(std::span<const double> y, size_t k, bool parallel,
-                std::vector<Neighbor>* out, Stats* stats) const;
-  Status RangeOne(std::span<const double> y, double radius, bool parallel,
-                  std::vector<uint32_t>* out, Stats* stats) const;
+  Status ScatterKnn(std::span<const double> y, size_t k, bool parallel,
+                    std::vector<Neighbor>* out, Stats* stats) const;
+  Status ScatterRange(std::span<const double> y, double radius,
+                      bool parallel, std::vector<uint32_t>* out,
+                      Stats* stats) const;
 
   std::vector<std::unique_ptr<Index>> shards_;
   std::unique_ptr<ThreadPool> pool_;

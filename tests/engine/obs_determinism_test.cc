@@ -1,4 +1,5 @@
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -127,6 +128,39 @@ TEST_F(ObsDeterminismTest, CountersEqualOracleDerivedWork) {
             oracle.io_reads);
   // And the trace log saw every one of them (threshold 0).
   EXPECT_EQ(index.SlowQueries().size(), queries_.rows());
+}
+
+TEST_F(ObsDeterminismTest, BatchStatsAgreeAcrossServingPaths) {
+  // Index::KnnBatch/RangeBatch sum per-row Stats; Parallel(n) batches sum
+  // the engine's per-query stats. Every logical field must agree,
+  // radius_total included (a batch once reported it as 0).
+  const Index index = BuildIndex();
+  auto expect_same = [](const SearchIndex::Stats& got,
+                        const SearchIndex::Stats& want) {
+    EXPECT_EQ(got.queries, want.queries);
+    EXPECT_EQ(got.candidates, want.candidates);
+    EXPECT_EQ(got.nodes_visited, want.nodes_visited);
+    EXPECT_EQ(got.leaves_visited, want.leaves_visited);
+    EXPECT_EQ(got.points_evaluated, want.points_evaluated);
+    EXPECT_EQ(got.radius_total, want.radius_total);
+  };
+  SearchIndex::Stats knn_ref;
+  SearchIndex::Stats range_ref;
+  ASSERT_TRUE(index.KnnBatch(queries_, kK, &knn_ref).ok());
+  ASSERT_TRUE(index.RangeBatch(queries_, radius_, &range_ref).ok());
+  EXPECT_GT(knn_ref.radius_total, 0.0);
+  EXPECT_GT(range_ref.radius_total, 0.0);
+  for (size_t threads : {1ul, 4ul}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto parallel = index.Parallel(threads);
+    ASSERT_TRUE(parallel.ok());
+    SearchIndex::Stats knn;
+    SearchIndex::Stats range;
+    ASSERT_TRUE(parallel->KnnBatch(queries_, kK, &knn).ok());
+    ASSERT_TRUE(parallel->RangeBatch(queries_, radius_, &range).ok());
+    expect_same(knn, knn_ref);
+    expect_same(range, range_ref);
+  }
 }
 
 TEST_F(ObsDeterminismTest, TracedEntriesCarryTheSpanBreakdown) {

@@ -43,6 +43,16 @@ class QueryEngineTest : public ::testing::Test {
   std::unique_ptr<BrePartition> index_;
 };
 
+/// The logical work of one query is schedule-independent: the engine's
+/// per-subspace fan-out does exactly what the sequential pipeline does.
+void ExpectSameLogicalStats(const QueryStats& got, const QueryStats& want) {
+  EXPECT_EQ(got.candidates, want.candidates);
+  EXPECT_EQ(got.nodes_visited, want.nodes_visited);
+  EXPECT_EQ(got.leaves_visited, want.leaves_visited);
+  EXPECT_EQ(got.points_evaluated, want.points_evaluated);
+  EXPECT_EQ(got.radius_total, want.radius_total);
+}
+
 TEST_F(QueryEngineTest, BatchMatchesSequentialBBTreeGroundTruth) {
   // The ISSUE's bar: batched kNN on N threads returns exactly what the
   // sequential in-memory BBTree search returns.
@@ -92,6 +102,7 @@ TEST_F(QueryEngineTest, SingleQueryParallelFilterMatchesSequential) {
     EXPECT_EQ(par_stats.candidates, seq_stats.candidates);
     EXPECT_EQ(par_stats.nodes_visited, seq_stats.nodes_visited);
     EXPECT_GT(par_stats.io_reads, 0u);
+    ExpectSameLogicalStats(par_stats, seq_stats);
   }
 }
 
@@ -127,6 +138,16 @@ TEST_F(QueryEngineTest, RangeSearchMatchesBruteForce) {
       }
     }
     EXPECT_TRUE(engine.RangeSearch(y, radius) == expected) << "q=" << q;
+    // The core pipeline, sequential, against the 4-thread engine: same ids,
+    // same logical work (M = 4, so the engine fans the filter out).
+    QueryStats par_stats;
+    QueryStats seq_stats;
+    const auto par = engine.RangeSearch(y, radius, &par_stats);
+    const auto seq = index_->RangeSearch(y, radius, &seq_stats);
+    EXPECT_TRUE(seq == expected) << "q=" << q;
+    EXPECT_TRUE(par == seq) << "q=" << q;
+    ExpectSameLogicalStats(par_stats, seq_stats);
+    EXPECT_EQ(seq_stats.radius_total, radius);
   }
 }
 
@@ -136,10 +157,24 @@ TEST_F(QueryEngineTest, RangeBatchIdenticalAcrossThreadCounts) {
   EngineStats stats;
   const auto got = MakeEngine(5).RangeSearchBatch(queries_, radius, &stats);
   ASSERT_EQ(got.size(), reference.size());
+  EngineStats core_sum;
   for (size_t q = 0; q < got.size(); ++q) {
     EXPECT_TRUE(got[q] == reference[q]) << "q=" << q;
+    QueryStats qs;
+    EXPECT_TRUE(got[q] == index_->RangeSearch(queries_.Row(q), radius, &qs))
+        << "q=" << q;
+    core_sum.candidates += qs.candidates;
+    core_sum.nodes_visited += qs.nodes_visited;
+    core_sum.leaves_visited += qs.leaves_visited;
+    core_sum.points_evaluated += qs.points_evaluated;
+    core_sum.radius_total += qs.radius_total;
   }
   EXPECT_EQ(stats.queries, queries_.rows());
+  EXPECT_EQ(stats.candidates, core_sum.candidates);
+  EXPECT_EQ(stats.nodes_visited, core_sum.nodes_visited);
+  EXPECT_EQ(stats.leaves_visited, core_sum.leaves_visited);
+  EXPECT_EQ(stats.points_evaluated, core_sum.points_evaluated);
+  EXPECT_EQ(stats.radius_total, core_sum.radius_total);
 }
 
 TEST_F(QueryEngineTest, SingleRowBatchUsesSubspaceFanOut) {
