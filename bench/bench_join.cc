@@ -1,6 +1,5 @@
 /// kNN-join: the dual-tree descent against the same workload issued as N
-/// independent single-query descents, plus the sampled arm's
-/// recall/speedup trade-off.
+/// independent single-query descents.
 ///
 ///   $ ./bench_join [--threads N] [--json <path>]
 ///
@@ -22,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "api/index.h"
 #include "bench_common.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -116,33 +114,6 @@ int main(int argc, char** argv) {
     thread_runs.emplace_back(json::Value(std::move(run)));
   }
 
-  // --------------------------------------------------------- sampled arm
-  // Served through the facade so the recall measurement exercises the
-  // production path (metrics registry included).
-  auto index = Index::Build(data, "squared_l2");
-  BREP_CHECK_MSG(index.ok(), index.status().ToString().c_str());
-  json::Array sampled_runs;
-  std::printf("\nsampled arm (facade, measured recall):\n");
-  PrintHeader({"rate", "wall ms", "recall", "pair evals"});
-  for (const double rate : {0.25, 0.5, 1.0}) {
-    JoinOptions sampled;
-    sampled.sample_rate = rate;
-    sampled.measure_recall = true;
-    SearchIndex::Stats stats;
-    const auto result = index->KnnJoin(r, k, sampled, &stats);
-    BREP_CHECK_MSG(result.ok(), result.status().ToString().c_str());
-    PrintRow({FmtF(rate, 2), FmtF(stats.wall_ms, 1),
-              FmtF(result->stats.sampled_recall, 3),
-              FmtU(result->stats.pairs_evaluated)});
-    json::Object run;
-    run.emplace_back("sample_rate", json::Value(rate));
-    run.emplace_back("wall_ms", json::Value(stats.wall_ms));
-    run.emplace_back("recall", json::Value(result->stats.sampled_recall));
-    run.emplace_back("pairs_evaluated",
-                     json::Value(double(result->stats.pairs_evaluated)));
-    sampled_runs.emplace_back(json::Value(std::move(run)));
-  }
-
   if (const std::string json_path = JsonPathArg(argc, argv);
       !json_path.empty()) {
     json::Object section;
@@ -172,7 +143,6 @@ int main(int argc, char** argv) {
     section.emplace_back("dual_amortizes", json::Value(ratio < 1.0));
     section.emplace_back("identical", json::Value(identical));
     section.emplace_back("thread_runs", json::Value(std::move(thread_runs)));
-    section.emplace_back("sampled_runs", json::Value(std::move(sampled_runs)));
     EmitJson(json_path, "knn_join", json::Value(std::move(section)));
   }
   return identical && ratio < 1.0 ? 0 : 1;

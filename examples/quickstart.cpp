@@ -38,8 +38,10 @@ int main() {
   std::printf("built %s\n", index.Describe().c_str());
 
   // 3. Query: exact 10-NN of a perturbed data point. Knn validates the
-  //    query (dimensionality, k) and reports per-query work in the unified
-  //    SearchIndex::Stats.
+  //    query (dimensionality, k) and reports per-query work in brep::Stats
+  //    (SearchIndex::Stats), including the paper's three stages: bound
+  //    (query transform + searching-bound determination), filter (range
+  //    queries over the BB-forest) and refine (exact evaluation).
   Rng query_rng(7);
   const Matrix queries = MakeQueries(query_rng, data, 1, 0.1,
                                      /*keep_positive=*/true);
@@ -56,10 +58,14 @@ int main() {
     std::printf("  id=%5u  distance=%.6f\n", nb.id, nb.distance);
   }
   std::printf("\nper-query stats: io_reads=%llu candidates=%llu nodes=%llu "
-              "total=%.2fms\n",
+              "radius_total=%.4g\n",
               static_cast<unsigned long long>(stats.io_reads),
               static_cast<unsigned long long>(stats.candidates),
               static_cast<unsigned long long>(stats.nodes_visited),
+              stats.radius_total);
+  std::printf("stages: bound=%.3fms filter=%.3fms refine=%.3fms "
+              "(wall %.3fms)\n",
+              stats.bound_ms, stats.filter_ms, stats.refine_ms,
               stats.wall_ms);
 
   // 4. Errors are values: a dim-mismatched query comes back as a Status.

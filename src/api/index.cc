@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/timer.h"
 #include "core/brepartition.h"
 #include "core/stats.h"
@@ -69,8 +68,7 @@ void RecordUpdate(const BrePartition& bp, char op, double total_ms,
 /// The shared join body of Index and ParallelIndex: pin a read snapshot,
 /// materialize the live point set S from its point store (ascending id
 /// order, so the (distance, id) tie-break matches single queries), run the
-/// dual-tree descent -- over the sampled subset for the approximate arm --
-/// and fold its counters into the facade stats.
+/// dual-tree descent and add its counters into the facade stats.
 StatusOr<JoinResult> JoinOnBrePartition(const BrePartition& bp,
                                         const Matrix& r, size_t k,
                                         const JoinOptions& options,
@@ -98,43 +96,10 @@ StatusOr<JoinResult> JoinOnBrePartition(const BrePartition& bp,
         std::lower_bound(live.begin(), live.end(), id) - live.begin();
     std::copy(x.begin(), x.end(), s_data.begin() + row * d);
   });
-  const Matrix s_all(live.size(), d, std::move(s_data));
+  const Matrix s(live.size(), d, std::move(s_data));
 
-  JoinResult result;
-  if (options.sample_rate < 1.0) {
-    const size_t m = SampledJoinCount(options.sample_rate, live.size());
-    if (k > m) {
-      return Status::InvalidArgument(
-          "k = " + std::to_string(k) + " exceeds the sampled subset (" +
-          std::to_string(m) + " of " + std::to_string(live.size()) +
-          " points)");
-    }
-    Rng rng(options.sample_seed);
-    const std::vector<size_t> pick =
-        rng.SampleWithoutReplacement(live.size(), m);
-    std::vector<uint32_t> s_ids(m);
-    std::vector<double> data(m * d);
-    for (size_t i = 0; i < m; ++i) {
-      s_ids[i] = live[pick[i]];  // pick is sorted, so s_ids stays ascending
-      const std::span<const double> row = s_all.Row(pick[i]);
-      std::copy(row.begin(), row.end(), data.begin() + i * d);
-    }
-    const Matrix s(m, d, std::move(data));
-    result = DualTreeKnnJoin(r, s, s_ids, bp.divergence(), k, options, pool);
-    if (options.measure_recall) {
-      const JoinResult exact =
-          DualTreeKnnJoin(r, s_all, live, bp.divergence(), k, options, pool);
-      result.stats.sampled_recall =
-          MeanJoinRecall(result.neighbors, exact.neighbors);
-    }
-  } else {
-    result =
-        DualTreeKnnJoin(r, s_all, live, bp.divergence(), k, options, pool);
-    // The full point set IS the ground truth: recall is 1 by definition,
-    // reported so measure_recall always yields a measurement.
-    if (options.measure_recall) result.stats.sampled_recall = 1.0;
-  }
-
+  JoinResult result =
+      DualTreeKnnJoin(r, s, live, bp.divergence(), k, options, pool);
   stats->nodes_visited += result.stats.node_pairs_visited;
   stats->leaves_visited += result.stats.leaf_blocks;
   stats->points_evaluated += result.stats.pairs_evaluated;
@@ -157,9 +122,6 @@ void RecordJoin(const BrePartition& bp, size_t rows, size_t k,
                                        result.stats.node_pairs_pruned);
   im.join_leaf_blocks->AddStripe(stripe, result.stats.leaf_blocks);
   im.join_latency->RecordStripe(stripe, total_ms);
-  if (result.stats.sampled_recall >= 0.0) {
-    im.join_sample_recall->Set(result.stats.sampled_recall);
-  }
   obs::TraceLog& trace = bp.trace_log();
   if (total_ms < trace.threshold_ms()) return;
   obs::QueryTraceEntry entry;
@@ -443,8 +405,8 @@ StatusOr<std::unique_ptr<SearchIndex>> Index::Approximate(
   return view;
 }
 
-EngineStats Index::UpdateStats() const {
-  EngineStats stats;
+Stats Index::UpdateStats() const {
+  Stats stats;
   std::tie(stats.inserts, stats.deletes) = bp_->update_totals();
   const WalWriter::Stats ws = wal_stats();
   stats.wal_appends = ws.appends;
@@ -623,19 +585,13 @@ const BregmanDivergence& Index::divergence() const {
 
 StatusOr<std::vector<Neighbor>> Index::KnnImpl(std::span<const double> y,
                                                size_t k, Stats* stats) const {
-  QueryStats qs;
-  auto result = bp_->KnnSearch(y, k, &qs);
-  stats->Add(qs);
-  return result;
+  return bp_->KnnSearch(y, k, stats);
 }
 
 StatusOr<std::vector<uint32_t>> Index::RangeImpl(std::span<const double> y,
                                                  double radius,
                                                  Stats* stats) const {
-  QueryStats qs;
-  auto result = bp_->RangeSearch(y, radius, &qs);
-  stats->Add(qs);
-  return result;
+  return bp_->RangeSearch(y, radius, stats);
 }
 
 StatusOr<JoinResult> Index::KnnJoinImpl(const Matrix& r, size_t k,
@@ -791,34 +747,22 @@ std::vector<obs::QueryTraceEntry> ParallelIndex::SlowQueries() const {
 
 StatusOr<std::vector<Neighbor>> ParallelIndex::KnnImpl(
     std::span<const double> y, size_t k, Stats* stats) const {
-  QueryStats qs;
-  auto result = engine_->KnnSearch(y, k, &qs);
-  stats->Add(qs);
-  return result;
+  return engine_->KnnSearch(y, k, stats);
 }
 
 StatusOr<std::vector<uint32_t>> ParallelIndex::RangeImpl(
     std::span<const double> y, double radius, Stats* stats) const {
-  QueryStats qs;
-  auto result = engine_->RangeSearch(y, radius, &qs);
-  stats->Add(qs);
-  return result;
+  return engine_->RangeSearch(y, radius, stats);
 }
 
 StatusOr<std::vector<std::vector<Neighbor>>> ParallelIndex::KnnBatchImpl(
     const Matrix& queries, size_t k, Stats* stats) const {
-  EngineStats es;
-  auto result = engine_->KnnSearchBatch(queries, k, &es);
-  stats->Add(es);
-  return result;
+  return engine_->KnnSearchBatch(queries, k, stats);
 }
 
 StatusOr<std::vector<std::vector<uint32_t>>> ParallelIndex::RangeBatchImpl(
     const Matrix& queries, double radius, Stats* stats) const {
-  EngineStats es;
-  auto result = engine_->RangeSearchBatch(queries, radius, &es);
-  stats->Add(es);
-  return result;
+  return engine_->RangeSearchBatch(queries, radius, stats);
 }
 
 StatusOr<JoinResult> ParallelIndex::KnnJoinImpl(const Matrix& r, size_t k,

@@ -12,7 +12,6 @@
 #include "core/optimal_m.h"
 #include "dataset/matrix.h"
 #include "divergence/bregman.h"
-#include "engine/engine_stats.h"
 
 /// \file
 /// The facade over the paper's index: builder-style construction, typed
@@ -128,7 +127,7 @@ class Index final : public SearchIndex {
 
   /// Lifetime insert/delete lanes of this index (exact, lock-consistent),
   /// plus the WAL lanes (appends/fsyncs/replayed) when durability is on.
-  EngineStats UpdateStats() const;
+  Stats UpdateStats() const;
 
   /// Whether this index runs under a write-ahead log.
   bool durable() const { return durability_.enabled(); }
@@ -182,9 +181,9 @@ class Index final : public SearchIndex {
   StatusOr<std::vector<uint32_t>> RangeImpl(std::span<const double> y,
                                             double radius,
                                             Stats* stats) const override;
-  /// Native dual-tree join over a pinned read snapshot (exact and sampled
-  /// arms; see join/dual_tree.h). Sequential descent; Parallel() handles
-  /// run the same descent over their pool.
+  /// Native dual-tree join over a pinned read snapshot (see
+  /// join/dual_tree.h). Sequential descent; Parallel() handles run the
+  /// same descent over their pool.
   StatusOr<JoinResult> KnnJoinImpl(const Matrix& r, size_t k,
                                    const JoinOptions& options,
                                    Stats* stats) const override;

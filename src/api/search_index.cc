@@ -7,9 +7,7 @@
 #include "baselines/linear_scan.h"
 #include "common/timer.h"
 #include "core/brepartition.h"
-#include "core/stats.h"
 #include "divergence/factory.h"
-#include "engine/engine_stats.h"
 #include "storage/point_store.h"
 
 namespace brep {
@@ -88,19 +86,13 @@ class BrePartitionBackend final : public SearchIndex {
 
   StatusOr<std::vector<Neighbor>> KnnImpl(std::span<const double> y, size_t k,
                                           Stats* st) const override {
-    QueryStats qs;
-    auto result = bp_->KnnSearch(y, k, &qs);
-    st->Add(qs);
-    return result;
+    return bp_->KnnSearch(y, k, st);
   }
 
   StatusOr<std::vector<uint32_t>> RangeImpl(std::span<const double> y,
                                             double radius,
                                             Stats* st) const override {
-    QueryStats qs;
-    auto result = bp_->RangeSearch(y, radius, &qs);
-    st->Add(qs);
-    return result;
+    return bp_->RangeSearch(y, radius, st);
   }
 
  private:
@@ -304,10 +296,7 @@ class ApproximateBackend final : public SearchIndex {
 
   StatusOr<std::vector<Neighbor>> KnnImpl(std::span<const double> y, size_t k,
                                           Stats* st) const override {
-    QueryStats qs;
-    auto result = abp_->KnnSearch(y, k, &qs);
-    st->Add(qs);
-    return result;
+    return abp_->KnnSearch(y, k, st);
   }
 
  private:
@@ -442,6 +431,30 @@ constexpr BackendEntry kRegistry[] = {
 // ------------------------------------------------------------------------
 // SearchIndex: validated public wrappers over the backend hooks.
 
+Status SearchIndex::CheckDim(size_t got, const char* subject) const {
+  if (got == dim()) return Status::Ok();
+  return Status::InvalidArgument(std::string(subject) + " " +
+                                 std::to_string(got) +
+                                 " dimensions, index expects " +
+                                 std::to_string(dim()));
+}
+
+Status SearchIndex::CheckK(size_t k) const {
+  if (k == 0) return Status::InvalidArgument("k must be >= 1");
+  if (k > num_points()) {
+    return Status::InvalidArgument(
+        "k = " + std::to_string(k) + " exceeds the number of indexed points (" +
+        std::to_string(num_points()) + ")");
+  }
+  return Status::Ok();
+}
+
+Status SearchIndex::CheckRadius(double radius) {
+  if (radius >= 0.0) return Status::Ok();  // false for NaN too
+  return Status::InvalidArgument("range radius must be >= 0, got " +
+                                 std::to_string(radius));
+}
+
 Status SearchIndex::CheckEvaluable(std::span<const double> v,
                                    const std::string& what) const {
   const BregmanDivergence* div = QueryDivergence();
@@ -452,32 +465,13 @@ Status SearchIndex::CheckEvaluable(std::span<const double> v,
       "coordinate, which would turn divergences into NaN");
 }
 
-void SearchIndex::Stats::Add(const QueryStats& qs) {
-  io_reads += qs.io_reads;
-  candidates += qs.candidates;
-  nodes_visited += qs.nodes_visited;
-  leaves_visited += qs.leaves_visited;
-  points_evaluated += qs.points_evaluated;
-  pool_hits += qs.pool_hits;
-  pool_misses += qs.pool_misses;
-  radius_total += qs.radius_total;
-  approx_coefficient = qs.approx_coefficient;
-}
-
-void SearchIndex::Stats::Add(const EngineStats& es) {
-  inserts += es.inserts;
-  deletes += es.deletes;
-  wal_appends += es.wal_appends;
-  wal_fsyncs += es.wal_fsyncs;
-  wal_replayed += es.wal_replayed;
-  io_reads += es.io_reads;
-  candidates += es.candidates;
-  nodes_visited += es.nodes_visited;
-  leaves_visited += es.leaves_visited;
-  points_evaluated += es.points_evaluated;
-  pool_hits += es.pool_hits;
-  pool_misses += es.pool_misses;
-  radius_total += es.radius_total;
+Status SearchIndex::CheckRowsEvaluable(const Matrix& rows,
+                                       const std::string& what) const {
+  for (size_t q = 0; q < rows.rows(); ++q) {
+    BREP_RETURN_IF_ERROR(
+        CheckEvaluable(rows.Row(q), what + " " + std::to_string(q)));
+  }
+  return Status::Ok();
 }
 
 StatusOr<uint32_t> SearchIndex::Insert(std::span<const double> point,
@@ -485,15 +479,11 @@ StatusOr<uint32_t> SearchIndex::Insert(std::span<const double> point,
   Stats local;
   Stats& st = stats != nullptr ? *stats : local;
   st = Stats{};
-  if (point.size() != dim()) {
-    return Status::InvalidArgument(
-        "point has " + std::to_string(point.size()) +
-        " dimensions, index expects " + std::to_string(dim()));
-  }
+  BREP_RETURN_IF_ERROR(CheckDim(point.size(), "point has"));
   BREP_RETURN_IF_ERROR(CheckEvaluable(point, "insert point"));
   Timer timer;
   auto result = InsertImpl(point, &st);
-  if (result.ok()) st.inserts = 1;
+  st.inserts = result.ok() ? 1 : 0;
   st.wall_ms = timer.ElapsedMillis();
   return result;
 }
@@ -504,7 +494,7 @@ Status SearchIndex::Delete(uint32_t id, Stats* stats) {
   st = Stats{};
   Timer timer;
   const Status result = DeleteImpl(id, &st);
-  if (result.ok()) st.deletes = 1;
+  st.deletes = result.ok() ? 1 : 0;
   st.wall_ms = timer.ElapsedMillis();
   return result;
 }
@@ -525,21 +515,12 @@ StatusOr<std::vector<Neighbor>> SearchIndex::Knn(std::span<const double> query,
   Stats local;
   Stats& st = stats != nullptr ? *stats : local;
   st = Stats{};
-  if (query.size() != dim()) {
-    return Status::InvalidArgument(
-        "query has " + std::to_string(query.size()) +
-        " dimensions, index expects " + std::to_string(dim()));
-  }
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  if (k > num_points()) {
-    return Status::InvalidArgument(
-        "k = " + std::to_string(k) + " exceeds the number of indexed points (" +
-        std::to_string(num_points()) + ")");
-  }
+  BREP_RETURN_IF_ERROR(CheckDim(query.size(), "query has"));
+  BREP_RETURN_IF_ERROR(CheckK(k));
   BREP_RETURN_IF_ERROR(CheckEvaluable(query, "query"));
-  st.queries = 1;
   Timer timer;
   auto result = KnnImpl(query, k, &st);
+  st.queries = 1;
   st.wall_ms = timer.ElapsedMillis();
   return result;
 }
@@ -549,19 +530,12 @@ StatusOr<std::vector<uint32_t>> SearchIndex::Range(
   Stats local;
   Stats& st = stats != nullptr ? *stats : local;
   st = Stats{};
-  if (query.size() != dim()) {
-    return Status::InvalidArgument(
-        "query has " + std::to_string(query.size()) +
-        " dimensions, index expects " + std::to_string(dim()));
-  }
-  if (!(radius >= 0.0)) {  // also catches NaN
-    return Status::InvalidArgument("range radius must be >= 0, got " +
-                                   std::to_string(radius));
-  }
+  BREP_RETURN_IF_ERROR(CheckDim(query.size(), "query has"));
+  BREP_RETURN_IF_ERROR(CheckRadius(radius));
   BREP_RETURN_IF_ERROR(CheckEvaluable(query, "query"));
-  st.queries = 1;
   Timer timer;
   auto result = RangeImpl(query, radius, &st);
+  st.queries = 1;
   st.wall_ms = timer.ElapsedMillis();
   return result;
 }
@@ -571,25 +545,15 @@ StatusOr<std::vector<std::vector<Neighbor>>> SearchIndex::KnnBatch(
   Stats local;
   Stats& st = stats != nullptr ? *stats : local;
   st = Stats{};
-  if (!queries.empty() && queries.cols() != dim()) {
-    return Status::InvalidArgument(
-        "batch queries have " + std::to_string(queries.cols()) +
-        " dimensions, index expects " + std::to_string(dim()));
+  if (!queries.empty()) {
+    BREP_RETURN_IF_ERROR(CheckDim(queries.cols(), "batch queries have"));
   }
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  if (k > num_points()) {
-    return Status::InvalidArgument(
-        "k = " + std::to_string(k) + " exceeds the number of indexed points (" +
-        std::to_string(num_points()) + ")");
-  }
+  BREP_RETURN_IF_ERROR(CheckK(k));
   if (queries.empty()) return std::vector<std::vector<Neighbor>>{};
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    BREP_RETURN_IF_ERROR(
-        CheckEvaluable(queries.Row(q), "batch query " + std::to_string(q)));
-  }
-  st.queries = queries.rows();
+  BREP_RETURN_IF_ERROR(CheckRowsEvaluable(queries, "batch query"));
   Timer timer;
   auto result = KnnBatchImpl(queries, k, &st);
+  st.queries = queries.rows();
   st.wall_ms = timer.ElapsedMillis();
   return result;
 }
@@ -599,23 +563,15 @@ StatusOr<std::vector<std::vector<uint32_t>>> SearchIndex::RangeBatch(
   Stats local;
   Stats& st = stats != nullptr ? *stats : local;
   st = Stats{};
-  if (!queries.empty() && queries.cols() != dim()) {
-    return Status::InvalidArgument(
-        "batch queries have " + std::to_string(queries.cols()) +
-        " dimensions, index expects " + std::to_string(dim()));
+  if (!queries.empty()) {
+    BREP_RETURN_IF_ERROR(CheckDim(queries.cols(), "batch queries have"));
   }
-  if (!(radius >= 0.0)) {
-    return Status::InvalidArgument("range radius must be >= 0, got " +
-                                   std::to_string(radius));
-  }
+  BREP_RETURN_IF_ERROR(CheckRadius(radius));
   if (queries.empty()) return std::vector<std::vector<uint32_t>>{};
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    BREP_RETURN_IF_ERROR(
-        CheckEvaluable(queries.Row(q), "batch query " + std::to_string(q)));
-  }
-  st.queries = queries.rows();
+  BREP_RETURN_IF_ERROR(CheckRowsEvaluable(queries, "batch query"));
   Timer timer;
   auto result = RangeBatchImpl(queries, radius, &st);
+  st.queries = queries.rows();
   st.wall_ms = timer.ElapsedMillis();
   return result;
 }
@@ -629,37 +585,12 @@ StatusOr<JoinResult> SearchIndex::KnnJoin(const Matrix& r, size_t k,
   if (r.empty()) {
     return Status::InvalidArgument("join query set R is empty (zero rows)");
   }
-  if (r.cols() != dim()) {
-    return Status::InvalidArgument(
-        "join query set has " + std::to_string(r.cols()) +
-        " dimensions, index expects " + std::to_string(dim()));
-  }
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  if (k > num_points()) {
-    return Status::InvalidArgument(
-        "k = " + std::to_string(k) + " exceeds the number of indexed points (" +
-        std::to_string(num_points()) + ")");
-  }
-  if (!std::isfinite(options.sample_rate) || !(options.sample_rate > 0.0) ||
-      options.sample_rate > 1.0) {
-    return Status::InvalidArgument(
-        "join sample_rate must be in (0, 1], got " +
-        std::to_string(options.sample_rate));
-  }
-  const size_t sampled = SampledJoinCount(options.sample_rate, num_points());
-  if (k > sampled) {
-    return Status::InvalidArgument(
-        "k = " + std::to_string(k) + " exceeds the sampled subset (" +
-        std::to_string(sampled) + " of " + std::to_string(num_points()) +
-        " points at sample_rate " + std::to_string(options.sample_rate) + ")");
-  }
-  for (size_t q = 0; q < r.rows(); ++q) {
-    BREP_RETURN_IF_ERROR(
-        CheckEvaluable(r.Row(q), "join query row " + std::to_string(q)));
-  }
-  st.queries = r.rows();
+  BREP_RETURN_IF_ERROR(CheckDim(r.cols(), "join query set has"));
+  BREP_RETURN_IF_ERROR(CheckK(k));
+  BREP_RETURN_IF_ERROR(CheckRowsEvaluable(r, "join query row"));
   Timer timer;
   auto result = KnnJoinImpl(r, k, options, &st);
+  st.queries = r.rows();
   st.wall_ms = timer.ElapsedMillis();
   return result;
 }
@@ -670,33 +601,19 @@ StatusOr<std::vector<uint32_t>> SearchIndex::RangeImpl(
                                " does not support range search");
 }
 
+// The per-row defaults give every row a zeroed sink of its own and add it
+// in row order, so a hook may hand its sink straight to a core call that
+// overwrites it.
 StatusOr<std::vector<std::vector<Neighbor>>> SearchIndex::KnnBatchImpl(
     const Matrix& queries, size_t k, Stats* stats) const {
   std::vector<std::vector<Neighbor>> out;
   out.reserve(queries.rows());
   for (size_t q = 0; q < queries.rows(); ++q) {
-    BREP_ASSIGN_OR_RETURN(auto result, KnnImpl(queries.Row(q), k, stats));
+    Stats row;
+    BREP_ASSIGN_OR_RETURN(auto result, KnnImpl(queries.Row(q), k, &row));
+    *stats += row;
     out.push_back(std::move(result));
   }
-  return out;
-}
-
-StatusOr<JoinResult> SearchIndex::KnnJoinImpl(const Matrix& r, size_t k,
-                                              const JoinOptions& options,
-                                              Stats* stats) const {
-  if (options.sample_rate < 1.0) {
-    return Status::Unimplemented(
-        "backend " + Describe() +
-        " has no native join path; only the exact join (sample_rate = 1) is "
-        "served through the per-query fallback");
-  }
-  JoinResult out;
-  out.neighbors.reserve(r.rows());
-  for (size_t q = 0; q < r.rows(); ++q) {
-    BREP_ASSIGN_OR_RETURN(auto result, KnnImpl(r.Row(q), k, stats));
-    out.neighbors.push_back(std::move(result));
-  }
-  out.stats.pairs_evaluated = stats->candidates;
   return out;
 }
 
@@ -705,10 +622,21 @@ StatusOr<std::vector<std::vector<uint32_t>>> SearchIndex::RangeBatchImpl(
   std::vector<std::vector<uint32_t>> out;
   out.reserve(queries.rows());
   for (size_t q = 0; q < queries.rows(); ++q) {
-    BREP_ASSIGN_OR_RETURN(auto result, RangeImpl(queries.Row(q), radius,
-                                                 stats));
+    Stats row;
+    BREP_ASSIGN_OR_RETURN(auto result,
+                          RangeImpl(queries.Row(q), radius, &row));
+    *stats += row;
     out.push_back(std::move(result));
   }
+  return out;
+}
+
+StatusOr<JoinResult> SearchIndex::KnnJoinImpl(const Matrix& r, size_t k,
+                                              const JoinOptions& /*options*/,
+                                              Stats* stats) const {
+  JoinResult out;
+  BREP_ASSIGN_OR_RETURN(out.neighbors, KnnBatchImpl(r, k, stats));
+  out.stats.pairs_evaluated = stats->candidates;
   return out;
 }
 

@@ -13,6 +13,7 @@
 #include "common/top_k.h"
 #include "core/approximate.h"
 #include "core/config.h"
+#include "core/stats.h"
 #include "dataset/matrix.h"
 #include "divergence/bregman.h"
 #include "join/join_types.h"
@@ -32,8 +33,6 @@
 namespace brep {
 
 class BrePartition;
-struct EngineStats;
-struct QueryStats;
 
 /// Uniform kNN/range interface implemented by every backend adapter and by
 /// the brep::Index facade. All search entry points validate their arguments
@@ -42,53 +41,9 @@ struct QueryStats;
 /// through this interface.
 class SearchIndex {
  public:
-  /// Unified per-call measurements. For batch calls the counters are sums
-  /// over the batch and `wall_ms` is the batch wall-clock (so Qps() is the
-  /// serving throughput); for single calls queries == 1.
-  struct Stats {
-    uint64_t queries = 0;
-    /// Write lanes: completed Insert/Delete calls through this surface.
-    uint64_t inserts = 0;
-    uint64_t deletes = 0;
-    /// Durability lanes (brep::Index with a WAL; 0 elsewhere): redo
-    /// records appended and fsync barriers issued by this call, and
-    /// records replayed at recovery for batch-level aggregates.
-    uint64_t wal_appends = 0;
-    uint64_t wal_fsyncs = 0;
-    uint64_t wal_replayed = 0;
-    /// Pager page reads issued (index + data). 0 for memory-only backends
-    /// (linear scan).
-    uint64_t io_reads = 0;
-    /// Candidate points fetched and exactly evaluated.
-    uint64_t candidates = 0;
-    /// Index nodes visited (0 for backends without a tree).
-    uint64_t nodes_visited = 0;
-    /// Tree leaves scanned during the filter phase.
-    uint64_t leaves_visited = 0;
-    /// Divergence evaluations performed inside the index structures
-    /// (filter-phase pruning; the refine phase's exact evaluations are
-    /// `candidates`).
-    uint64_t points_evaluated = 0;
-    /// Buffer-pool traffic during this call (node-cache hits/misses;
-    /// approximate when calls overlap -- the pools are shared).
-    uint64_t pool_hits = 0;
-    uint64_t pool_misses = 0;
-    /// Total searching bound (BrePartition family; diagnostic).
-    double radius_total = 0.0;
-    /// Tightening coefficient applied by approximate backends (1 = exact).
-    double approx_coefficient = 1.0;
-    /// Wall-clock of the whole call.
-    double wall_ms = 0.0;
-
-    double Qps() const {
-      return wall_ms > 0.0 ? double(queries) * 1e3 / wall_ms : 0.0;
-    }
-
-    /// Accumulate one implementation-layer stats record (used by the
-    /// backend adapters; `queries`/`wall_ms` stay with the wrapper).
-    void Add(const QueryStats& qs);
-    void Add(const EngineStats& es);
-  };
+  /// Per-call measurements; see brep::Stats for the overwrite/add
+  /// contract between these wrappers and the *Impl hooks.
+  using Stats = brep::Stats;
 
   virtual ~SearchIndex() = default;
 
@@ -141,13 +96,10 @@ class SearchIndex {
   /// call -- neighbors[i] is Knn(r.Row(i), k), byte-identical to issuing
   /// the N single queries, but served by a dual-tree descent where the
   /// backend supports one (brep::Index, ParallelIndex, ShardedIndex;
-  /// others fall back to the per-row loop). JoinOptions::sample_rate < 1
-  /// selects the sampled approximate arm (joins against a deterministic
-  /// subset of S; kUnimplemented on fallback backends). Errors: empty `r`,
-  /// wrong dimensionality, k == 0, k > num_points() (or past the sampled
-  /// subset size), a non-finite sample_rate or one outside (0, 1], or any
-  /// R row the divergence cannot evaluate finitely -- the same
-  /// kInvalidArgument contract on every backend.
+  /// others fall back to the per-row loop). Errors: empty `r`, wrong
+  /// dimensionality, k == 0, k > num_points(), or any R row the divergence
+  /// cannot evaluate finitely -- the same kInvalidArgument contract on
+  /// every backend.
   StatusOr<JoinResult> KnnJoin(const Matrix& r, size_t k,
                                const JoinOptions& options = {},
                                Stats* stats = nullptr) const;
@@ -165,14 +117,15 @@ class SearchIndex {
   Status Delete(uint32_t id, Stats* stats = nullptr);
 
  protected:
-  /// Mutation hooks; the default is a read-only backend. `stats` is
-  /// non-null and zeroed (wrapper-owned lanes -- counts, wall clock -- are
-  /// filled by the wrapper; hooks add backend lanes such as the WAL ones).
+  /// Mutation hooks; the default is a read-only backend. Like every hook
+  /// below, called with validated arguments and a non-null, zeroed sink
+  /// of its own that the hook adds into; the wrapper assigns `queries`,
+  /// `inserts`, `deletes` and `wall_ms` after it returns (see brep::Stats).
   virtual StatusOr<uint32_t> InsertImpl(std::span<const double> point,
                                         Stats* stats);
   virtual Status DeleteImpl(uint32_t id, Stats* stats);
-  /// Backend hooks, called with validated arguments and a non-null stats
-  /// sink (zeroed; `queries` and `wall_ms` are filled by the wrapper).
+  /// Query hooks; the batch defaults loop over KnnImpl/RangeImpl, one
+  /// fresh sink per row, summed in row order.
   virtual StatusOr<std::vector<Neighbor>> KnnImpl(std::span<const double> y,
                                                   size_t k,
                                                   Stats* stats) const = 0;
@@ -183,9 +136,8 @@ class SearchIndex {
       const Matrix& queries, size_t k, Stats* stats) const;
   virtual StatusOr<std::vector<std::vector<uint32_t>>> RangeBatchImpl(
       const Matrix& queries, double radius, Stats* stats) const;
-  /// Default: the exact join as a per-row KnnImpl loop (every backend gets
-  /// at least this); sampled joins are kUnimplemented without a native
-  /// join path.
+  /// Default: the join as KnnBatchImpl (every backend gets at least
+  /// this).
   virtual StatusOr<JoinResult> KnnJoinImpl(const Matrix& r, size_t k,
                                            const JoinOptions& options,
                                            Stats* stats) const;
@@ -200,8 +152,17 @@ class SearchIndex {
   virtual const BregmanDivergence* QueryDivergence() const { return nullptr; }
 
  private:
+  /// One helper per argument rule; each returns the rule's
+  /// kInvalidArgument or Ok. `subject` leads the dimensionality message
+  /// ("query has", "batch queries have", ...).
+  Status CheckDim(size_t got, const char* subject) const;
+  Status CheckK(size_t k) const;
+  static Status CheckRadius(double radius);
   /// kInvalidArgument iff QueryDivergence() is set and rejects `v`.
   Status CheckEvaluable(std::span<const double> v, const std::string& what)
+      const;
+  /// CheckEvaluable on every row, named "<what> <row>".
+  Status CheckRowsEvaluable(const Matrix& rows, const std::string& what)
       const;
 };
 

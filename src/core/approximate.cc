@@ -28,12 +28,12 @@ ApproximateBrePartition::ApproximateBrePartition(
 }
 
 std::vector<Neighbor> ApproximateBrePartition::KnnSearch(
-    std::span<const double> y, size_t k, QueryStats* stats) const {
+    std::span<const double> y, size_t k, Stats* stats) const {
   const BregmanDivergence& div = exact_->divergence();
   BREP_CHECK(y.size() == div.dim());
-  QueryStats local;
-  QueryStats& st = stats != nullptr ? *stats : local;
-  st = QueryStats{};
+  Stats local;
+  Stats& st = stats != nullptr ? *stats : local;
+  st = Stats{};
 
   Timer total_timer;
   const IoStats io_before = exact_->pager()->stats();
@@ -83,7 +83,6 @@ std::vector<Neighbor> ApproximateBrePartition::KnnSearch(
     c = psi.InverseCdf(target) / mu;
   }
   c = std::clamp(c, 1e-3, 1.0);
-  st.approx_coefficient = c;
 
   // Every partition's exact bound is scaled by the coefficient.
   std::vector<double> radii(qb.radii);
@@ -95,7 +94,8 @@ std::vector<Neighbor> ApproximateBrePartition::KnnSearch(
                                           /*pool=*/nullptr, &st);
 
   st.io_reads = (exact_->pager()->stats() - io_before).reads;
-  st.total_ms = total_timer.ElapsedMillis();
+  st.queries = 1;
+  st.wall_ms = total_timer.ElapsedMillis();
   return result;
 }
 

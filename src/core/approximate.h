@@ -44,7 +44,7 @@ class ApproximateBrePartition {
 
   /// Approximate kNN with probability guarantee config().probability.
   std::vector<Neighbor> KnnSearch(std::span<const double> y, size_t k,
-                                  QueryStats* stats = nullptr) const;
+                                  Stats* stats = nullptr) const;
 
   const ApproximateConfig& config() const { return config_; }
 

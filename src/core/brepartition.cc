@@ -29,9 +29,9 @@ constexpr uint64_t kCatalogMagic = 0x3154414350455242ull;
 constexpr uint32_t kCatalogVersion = 2;
 
 /// A query's I/O, buffer-pool and wall-clock deltas: started before the
-/// bound phase, finished into its QueryStats after refinement. The pager
-/// and pool counters are shared, so the deltas are approximate when
-/// queries overlap; the logical counters are exact.
+/// bound phase, finished into its Stats (as one query) after refinement.
+/// The pager and pool counters are shared, so the deltas are approximate
+/// when queries overlap; the logical counters are exact.
 class QueryMeter {
  public:
   QueryMeter(const Pager& pager, const BBForest& forest)
@@ -40,12 +40,13 @@ class QueryMeter {
         io_before_(pager.stats()),
         pool_before_(forest.pool_traffic()) {}
 
-  void Finish(QueryStats* st) const {
+  void Finish(Stats* st) const {
     st->io_reads = (pager_.stats() - io_before_).reads;
     const BBForest::PoolTraffic pool_after = forest_.pool_traffic();
     st->pool_hits = pool_after.hits - pool_before_.hits;
     st->pool_misses = pool_after.misses - pool_before_.misses;
-    st->total_ms = timer_.ElapsedMillis();
+    st->queries = 1;
+    st->wall_ms = timer_.ElapsedMillis();
   }
 
  private:
@@ -721,8 +722,8 @@ std::vector<QueryTriple> BrePartition::TransformQueryAll(
 std::vector<Neighbor> BrePartition::FilterAndRefineOn(
     const ReadView& view, std::span<const double> y,
     std::span<const std::vector<double>> y_subs, std::span<const double> radii,
-    size_t k, ThreadPool* pool, QueryStats* stats) const {
-  QueryStats& st = *stats;
+    size_t k, ThreadPool* pool, Stats* stats) const {
+  Stats& st = *stats;
 
   // Filter: per-subspace range queries over every subspace tree.
   Timer filter_timer;
@@ -790,7 +791,7 @@ void BrePartition::DrainRetiredLocked() const {
 
 std::vector<Neighbor> BrePartition::KnnSearch(std::span<const double> y,
                                               size_t k,
-                                              QueryStats* stats) const {
+                                              Stats* stats) const {
   // Lock-free against Insert/Delete/Save: the whole query reads one
   // pinned version; any number of queries and one writer may overlap.
   const ReadView view = OpenReadView();
@@ -800,12 +801,12 @@ std::vector<Neighbor> BrePartition::KnnSearch(std::span<const double> y,
 std::vector<Neighbor> BrePartition::KnnSearch(const ReadView& view,
                                               std::span<const double> y,
                                               size_t k, ThreadPool* pool,
-                                              QueryStats* stats) const {
+                                              Stats* stats) const {
   BREP_CHECK(y.size() == div_.dim());
   BREP_CHECK(k >= 1);
-  QueryStats local;
-  QueryStats& st = stats != nullptr ? *stats : local;
-  st = QueryStats{};
+  Stats local;
+  Stats& st = stats != nullptr ? *stats : local;
+  st = Stats{};
   // The facade validates k against num_points() before the pin; a racing
   // writer may have shrunk the index since. Clamp against the pinned
   // version instead of aborting the process over a benign race.
@@ -835,7 +836,7 @@ std::vector<Neighbor> BrePartition::KnnSearch(const ReadView& view,
 
 std::vector<uint32_t> BrePartition::RangeSearch(std::span<const double> y,
                                                 double radius,
-                                                QueryStats* stats) const {
+                                                Stats* stats) const {
   const ReadView view = OpenReadView();
   return RangeSearch(view, y, radius, /*pool=*/nullptr, stats);
 }
@@ -844,12 +845,12 @@ std::vector<uint32_t> BrePartition::RangeSearch(const ReadView& view,
                                                 std::span<const double> y,
                                                 double radius,
                                                 ThreadPool* pool,
-                                                QueryStats* stats) const {
+                                                Stats* stats) const {
   BREP_CHECK(y.size() == div_.dim());
   BREP_CHECK(radius >= 0.0);
-  QueryStats local;
-  QueryStats& st = stats != nullptr ? *stats : local;
-  st = QueryStats{};
+  Stats local;
+  Stats& st = stats != nullptr ? *stats : local;
+  st = Stats{};
 
   const QueryMeter meter(*pager_, view.forest());
   const auto y_subs = GatherQuery(y);

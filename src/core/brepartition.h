@@ -167,28 +167,28 @@ class BrePartition {
 
   /// Exact kNN of `y` (minimizing D(x, y)) on a freshly pinned view.
   std::vector<Neighbor> KnnSearch(std::span<const double> y, size_t k,
-                                  QueryStats* stats = nullptr) const;
+                                  Stats* stats = nullptr) const;
 
   /// Exact kNN on a caller-pinned view (a batch pins one view for all of
   /// its queries). When `pool` has workers and M > 1 the per-subspace
   /// filter runs one task per tree; results and logical counters are the
-  /// same with or without it. Every call records its QueryStats into the
+  /// same with or without it. Every call records its Stats into the
   /// index's metrics and trace log.
   std::vector<Neighbor> KnnSearch(const ReadView& view,
                                   std::span<const double> y, size_t k,
-                                  ThreadPool* pool, QueryStats* stats) const;
+                                  ThreadPool* pool, Stats* stats) const;
 
   /// Exact range query: ids with D(x, y) <= radius, ascending. The filter
   /// intersects the per-subspace range results (a tighter candidate set
   /// than the kNN union, see BBForest::RangeCandidatesIntersection) before
   /// exact refinement.
   std::vector<uint32_t> RangeSearch(std::span<const double> y, double radius,
-                                    QueryStats* stats = nullptr) const;
+                                    Stats* stats = nullptr) const;
 
   /// Range query on a caller-pinned view; `pool` as for KnnSearch.
   std::vector<uint32_t> RangeSearch(const ReadView& view,
                                     std::span<const double> y, double radius,
-                                    ThreadPool* pool, QueryStats* stats) const;
+                                    ThreadPool* pool, Stats* stats) const;
 
   /// Dynamic updates (the paper's future-work extension) ----------------
   ///
@@ -355,7 +355,7 @@ class BrePartition {
       const ReadView& view, std::span<const double> y,
       std::span<const std::vector<double>> y_subs,
       std::span<const double> radii, size_t k, ThreadPool* pool,
-      QueryStats* stats) const;
+      Stats* stats) const;
 
  private:
   /// Open() path: remaining members are filled from the decoded catalog.

@@ -17,15 +17,16 @@ size_t ResolveThreads(size_t requested) {
 
 /// Run `run_one(qi, pool, &qstats)` for every query of a batch on `view`:
 /// a lone query fans its filter out over `pool`, wider batches run one
-/// query per task. `stats` receives the per-query QueryStats summed in
-/// query order (so the floating-point radius_total does not depend on the
-/// schedule) plus the batch's pager/pool deltas and wall clock.
+/// query per task. `stats` receives the per-query Stats summed in query
+/// order (so the floating-point radius_total does not depend on the
+/// schedule); the batch's pager/pool deltas and wall clock replace the
+/// summed per-query ones, which overlap when queries run concurrently.
 template <typename Result, typename RunOne>
 std::vector<Result> RunBatch(const BrePartition& index, ThreadPool& pool,
                              const BrePartition::ReadView& view, size_t n,
-                             EngineStats* stats, const RunOne& run_one) {
+                             Stats* stats, const RunOne& run_one) {
   std::vector<Result> results(n);
-  std::vector<QueryStats> per_query(n);
+  std::vector<Stats> per_query(n);
   const IoStats io_before = index.pager()->stats();
   const BBForest::PoolTraffic pool_before = view.forest().pool_traffic();
   Timer wall;
@@ -37,15 +38,8 @@ std::vector<Result> RunBatch(const BrePartition& index, ThreadPool& pool,
     });
   }
   if (stats != nullptr) {
-    EngineStats out;
-    for (const QueryStats& q : per_query) {
-      ++out.queries;
-      out.candidates += q.candidates;
-      out.nodes_visited += q.nodes_visited;
-      out.leaves_visited += q.leaves_visited;
-      out.points_evaluated += q.points_evaluated;
-      out.radius_total += q.radius_total;
-    }
+    Stats out;
+    for (const Stats& q : per_query) out += q;
     out.io_reads = (index.pager()->stats() - io_before).reads;
     const BBForest::PoolTraffic pool_after = view.forest().pool_traffic();
     out.pool_hits = pool_after.hits - pool_before.hits;
@@ -64,7 +58,7 @@ QueryEngine::QueryEngine(const BrePartition& index,
 
 std::vector<Neighbor> QueryEngine::KnnSearch(std::span<const double> y,
                                              size_t k,
-                                             QueryStats* stats) const {
+                                             Stats* stats) const {
   // One pinned version for the whole call; no lock taken (a churning
   // writer keeps publishing without stalling this query).
   const BrePartition::ReadView view = index_->OpenReadView();
@@ -73,13 +67,13 @@ std::vector<Neighbor> QueryEngine::KnnSearch(std::span<const double> y,
 
 std::vector<uint32_t> QueryEngine::RangeSearch(std::span<const double> y,
                                                double radius,
-                                               QueryStats* stats) const {
+                                               Stats* stats) const {
   const BrePartition::ReadView view = index_->OpenReadView();
   return index_->RangeSearch(view, y, radius, &pool_, stats);
 }
 
 std::vector<std::vector<Neighbor>> QueryEngine::KnnSearchBatch(
-    const Matrix& queries, size_t k, EngineStats* stats) const {
+    const Matrix& queries, size_t k, Stats* stats) const {
   // One pinned version for the WHOLE batch: every query observes the same
   // published state (prefix consistency against a concurrent writer).
   const BrePartition::ReadView view = index_->OpenReadView();
@@ -88,24 +82,24 @@ std::vector<std::vector<Neighbor>> QueryEngine::KnnSearchBatch(
   // A writer may have emptied the index between the caller's validation
   // and the pin: nothing to search (a benign race, not an abort).
   if (view.num_points() == 0) {
-    if (stats != nullptr) *stats = EngineStats{};
+    if (stats != nullptr) *stats = Stats{};
     return std::vector<std::vector<Neighbor>>(queries.rows());
   }
   return RunBatch<std::vector<Neighbor>>(
       *index_, pool_, view, queries.rows(), stats,
-      [&](size_t qi, ThreadPool* pool, QueryStats* qs) {
+      [&](size_t qi, ThreadPool* pool, Stats* qs) {
         return index_->KnnSearch(view, queries.Row(qi), k, pool, qs);
       });
 }
 
 std::vector<std::vector<uint32_t>> QueryEngine::RangeSearchBatch(
-    const Matrix& queries, double radius, EngineStats* stats) const {
+    const Matrix& queries, double radius, Stats* stats) const {
   // One pinned version for the WHOLE batch (prefix consistency).
   const BrePartition::ReadView view = index_->OpenReadView();
   BREP_CHECK(queries.cols() == index_->divergence().dim());
   return RunBatch<std::vector<uint32_t>>(
       *index_, pool_, view, queries.rows(), stats,
-      [&](size_t qi, ThreadPool* pool, QueryStats* qs) {
+      [&](size_t qi, ThreadPool* pool, Stats* qs) {
         return index_->RangeSearch(view, queries.Row(qi), radius, pool, qs);
       });
 }

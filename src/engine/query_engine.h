@@ -9,7 +9,6 @@
 #include "core/brepartition.h"
 #include "core/stats.h"
 #include "dataset/matrix.h"
-#include "engine/engine_stats.h"
 #include "engine/thread_pool.h"
 
 namespace brep {
@@ -33,7 +32,7 @@ struct QueryEngineOptions {
 ///  * KnnSearchBatch / RangeSearchBatch: one task per query, each running
 ///    its filter serially, which scales better than per-subspace fan-out
 ///    once the batch is at least as wide as the pool. Batch stats are the
-///    per-query QueryStats summed in query order after the join.
+///    per-query Stats summed (+=) in query order after the join.
 ///
 /// Results and logical counters are identical to the sequential
 /// BrePartition calls for every thread count: per-tree search is
@@ -61,22 +60,21 @@ class QueryEngine {
 
   /// Exact kNN, identical to BrePartition::KnnSearch.
   std::vector<Neighbor> KnnSearch(std::span<const double> y, size_t k,
-                                  QueryStats* stats = nullptr) const;
+                                  Stats* stats = nullptr) const;
 
   /// Exact kNN for every row of `queries`, parallel across queries.
-  /// `stats`, when supplied, receives the batch aggregate (wall clock,
-  /// QPS, summed logical work, pager I/O delta).
+  /// `stats`, when supplied, receives the batch aggregate (the per-query
+  /// records summed, with the batch's wall clock and pager/pool deltas).
   std::vector<std::vector<Neighbor>> KnnSearchBatch(
-      const Matrix& queries, size_t k, EngineStats* stats = nullptr) const;
+      const Matrix& queries, size_t k, Stats* stats = nullptr) const;
 
   /// Exact range query, identical to BrePartition::RangeSearch.
   std::vector<uint32_t> RangeSearch(std::span<const double> y, double radius,
-                                    QueryStats* stats = nullptr) const;
+                                    Stats* stats = nullptr) const;
 
   /// Range query for every row of `queries`, parallel across queries.
   std::vector<std::vector<uint32_t>> RangeSearchBatch(
-      const Matrix& queries, double radius,
-      EngineStats* stats = nullptr) const;
+      const Matrix& queries, double radius, Stats* stats = nullptr) const;
 
  private:
   const BrePartition* index_;

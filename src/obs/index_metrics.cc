@@ -29,45 +29,44 @@ IndexMetrics RegisterIndexMetrics(MetricRegistry& registry) {
   im.join_node_pairs_pruned = &registry.GetCounter(kJoinNodePairsPrunedTotal);
   im.join_leaf_blocks = &registry.GetCounter(kJoinLeafBlocksTotal);
   im.join_latency = &registry.GetHistogram(kJoinLatencyMs);
-  im.join_sample_recall = &registry.GetGauge(kJoinSampleRecallGauge);
   return im;
 }
 
 void RecordQuery(const IndexMetrics& im, TraceLog& trace,
-                 const QueryStats& qs, const QueryRecordContext& ctx,
+                 const Stats& s, const QueryRecordContext& ctx,
                  size_t stripe) {
   Counter* const op_counter =
       ctx.op == 'k' ? im.knn_queries : im.range_queries;
   op_counter->AddStripe(stripe, 1);
-  im.candidates->AddStripe(stripe, qs.candidates);
-  im.nodes_visited->AddStripe(stripe, qs.nodes_visited);
-  im.leaves_visited->AddStripe(stripe, qs.leaves_visited);
-  im.points_evaluated->AddStripe(stripe, qs.points_evaluated);
+  im.candidates->AddStripe(stripe, s.candidates);
+  im.nodes_visited->AddStripe(stripe, s.nodes_visited);
+  im.leaves_visited->AddStripe(stripe, s.leaves_visited);
+  im.points_evaluated->AddStripe(stripe, s.points_evaluated);
 
   LatencyHistogram* const op_latency =
       ctx.op == 'k' ? im.knn_latency : im.range_latency;
-  op_latency->RecordStripe(stripe, qs.total_ms);
-  if (ctx.op == 'k') im.bound_latency->RecordStripe(stripe, qs.bound_ms);
-  im.filter_latency->RecordStripe(stripe, qs.filter_ms);
-  im.refine_latency->RecordStripe(stripe, qs.refine_ms);
+  op_latency->RecordStripe(stripe, s.wall_ms);
+  if (ctx.op == 'k') im.bound_latency->RecordStripe(stripe, s.bound_ms);
+  im.filter_latency->RecordStripe(stripe, s.filter_ms);
+  im.refine_latency->RecordStripe(stripe, s.refine_ms);
 
-  if (qs.total_ms < trace.threshold_ms()) return;  // cheap early out
+  if (s.wall_ms < trace.threshold_ms()) return;  // cheap early out
   QueryTraceEntry entry;
   entry.op = ctx.op;
   entry.k = ctx.k;
   entry.radius = ctx.radius;
   entry.results = ctx.results;
-  entry.bound_ms = qs.bound_ms;
-  entry.filter_ms = qs.filter_ms;
-  entry.refine_ms = qs.refine_ms;
-  entry.total_ms = qs.total_ms;
-  entry.io_reads = qs.io_reads;
-  entry.candidates = qs.candidates;
-  entry.nodes_visited = qs.nodes_visited;
-  entry.leaves_visited = qs.leaves_visited;
-  entry.points_evaluated = qs.points_evaluated;
-  entry.pool_hits = qs.pool_hits;
-  entry.pool_misses = qs.pool_misses;
+  entry.bound_ms = s.bound_ms;
+  entry.filter_ms = s.filter_ms;
+  entry.refine_ms = s.refine_ms;
+  entry.total_ms = s.wall_ms;
+  entry.io_reads = s.io_reads;
+  entry.candidates = s.candidates;
+  entry.nodes_visited = s.nodes_visited;
+  entry.leaves_visited = s.leaves_visited;
+  entry.points_evaluated = s.points_evaluated;
+  entry.pool_hits = s.pool_hits;
+  entry.pool_misses = s.pool_misses;
   trace.Record(entry);
 }
 

@@ -15,7 +15,7 @@
 /// "Observability" chapter documents each one's semantics.
 
 namespace brep {
-struct QueryStats;
+struct Stats;
 }
 
 namespace brep::obs {
@@ -50,9 +50,6 @@ inline constexpr char kJoinNodePairsPrunedTotal[] =
     "brep_join_node_pairs_pruned_total";
 inline constexpr char kJoinLeafBlocksTotal[] = "brep_join_leaf_blocks_total";
 inline constexpr char kJoinLatencyMs[] = "brep_join_latency_ms";
-/// Measured recall of the most recent sampled join (JoinOptions::
-/// measure_recall); stays at its default 0 until one is measured.
-inline constexpr char kJoinSampleRecallGauge[] = "brep_join_sample_recall";
 
 // Assembled at snapshot time from component-owned state (index gauges,
 // update totals, pager/pool/WAL/recovery counters and histograms).
@@ -142,12 +139,11 @@ struct IndexMetrics {
   Counter* join_node_pairs_pruned = nullptr;
   Counter* join_leaf_blocks = nullptr;
   LatencyHistogram* join_latency = nullptr;
-  Gauge* join_sample_recall = nullptr;
 };
 
 IndexMetrics RegisterIndexMetrics(MetricRegistry& registry);
 
-/// Call-site context a QueryStats record does not carry.
+/// Call-site context a Stats record does not carry.
 struct QueryRecordContext {
   char op = 'k';        // 'k' or 'r'
   size_t k = 0;
@@ -159,7 +155,7 @@ struct QueryRecordContext {
 /// histograms on stripe `stripe`) and, if it crosses the trace threshold,
 /// into `trace`.
 void RecordQuery(const IndexMetrics& im, TraceLog& trace,
-                 const QueryStats& qs, const QueryRecordContext& ctx,
+                 const Stats& s, const QueryRecordContext& ctx,
                  size_t stripe);
 
 }  // namespace brep::obs

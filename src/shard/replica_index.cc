@@ -189,18 +189,12 @@ std::vector<obs::QueryTraceEntry> ReplicaIndex::SlowQueries() const {
 
 StatusOr<std::vector<Neighbor>> ReplicaIndex::KnnImpl(
     std::span<const double> y, size_t k, Stats* stats) const {
-  QueryStats qs;
-  auto result = bp_->KnnSearch(y, k, &qs);
-  stats->Add(qs);
-  return result;
+  return bp_->KnnSearch(y, k, stats);
 }
 
 StatusOr<std::vector<uint32_t>> ReplicaIndex::RangeImpl(
     std::span<const double> y, double radius, Stats* stats) const {
-  QueryStats qs;
-  auto result = bp_->RangeSearch(y, radius, &qs);
-  stats->Add(qs);
-  return result;
+  return bp_->RangeSearch(y, radius, stats);
 }
 
 }  // namespace brep

@@ -40,24 +40,6 @@ IndexOptions ShardOptions(const ShardedIndexOptions& options, size_t shard) {
   return opt;
 }
 
-/// Fold one shard call's backend lanes into the facade's stats record. The
-/// wrapper-owned lanes (queries, inserts, deletes, wall_ms) stay with the
-/// FACADE wrapper -- the shard's own wrapper counted them for the shard's
-/// registry already.
-void AddShardLanes(SearchIndex::Stats* dst, const SearchIndex::Stats& s) {
-  dst->wal_appends += s.wal_appends;
-  dst->wal_fsyncs += s.wal_fsyncs;
-  dst->wal_replayed += s.wal_replayed;
-  dst->io_reads += s.io_reads;
-  dst->candidates += s.candidates;
-  dst->nodes_visited += s.nodes_visited;
-  dst->leaves_visited += s.leaves_visited;
-  dst->points_evaluated += s.points_evaluated;
-  dst->pool_hits += s.pool_hits;
-  dst->pool_misses += s.pool_misses;
-  dst->radius_total += s.radius_total;
-}
-
 /// Bucket-wise histogram sum for the cluster-wide view.
 obs::HistogramSnapshot MergeHistograms(const obs::HistogramSnapshot& a,
                                        const obs::HistogramSnapshot& b) {
@@ -313,7 +295,7 @@ Status ShardedIndex::ScatterKnn(std::span<const double> y, size_t k,
   scatter_latency_->Record(scatter_timer.ElapsedMillis());
   for (size_t i = 0; i < n; ++i) {
     BREP_RETURN_IF_ERROR(shard_status[i]);
-    AddShardLanes(stats, shard_stats[i]);
+    *stats += shard_stats[i];
   }
   Timer merge_timer;
   *out = MergeKnn(per, k);
@@ -348,7 +330,7 @@ Status ShardedIndex::ScatterRange(std::span<const double> y,
   scatter_latency_->Record(scatter_timer.ElapsedMillis());
   for (size_t i = 0; i < n; ++i) {
     BREP_RETURN_IF_ERROR(shard_status[i]);
-    AddShardLanes(stats, shard_stats[i]);
+    *stats += shard_stats[i];
   }
   Timer merge_timer;
   *out = MergeRange(per);
@@ -374,19 +356,18 @@ StatusOr<std::vector<uint32_t>> ShardedIndex::RangeImpl(
 StatusOr<std::vector<std::vector<Neighbor>>> ShardedIndex::KnnBatchImpl(
     const Matrix& queries, size_t k, Stats* stats) const {
   std::vector<std::vector<Neighbor>> out(queries.rows());
-  const size_t lanes = pool_->num_lanes();
-  std::vector<Stats> lane_stats(lanes);
-  std::vector<Status> lane_status(lanes);
+  std::vector<Stats> per_query(queries.rows());
+  std::vector<Status> status(queries.rows());
   // Parallelize ACROSS queries; each row scatters over its shards inline
   // (the lanes are already busy, nesting fan-outs would just add queueing).
-  pool_->ParallelFor(queries.rows(), [&](size_t q, size_t lane) {
-    if (!lane_status[lane].ok()) return;
-    lane_status[lane] = ScatterKnn(queries.Row(q), k, /*parallel=*/false,
-                                   &out[q], &lane_stats[lane]);
+  pool_->ParallelFor(queries.rows(), [&](size_t q, size_t) {
+    status[q] = ScatterKnn(queries.Row(q), k, /*parallel=*/false, &out[q],
+                           &per_query[q]);
   });
-  for (size_t lane = 0; lane < lanes; ++lane) {
-    BREP_RETURN_IF_ERROR(lane_status[lane]);
-    AddShardLanes(stats, lane_stats[lane]);
+  // Summed in query order: radius_total does not depend on the schedule.
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    BREP_RETURN_IF_ERROR(status[q]);
+    *stats += per_query[q];
   }
   return out;
 }
@@ -394,18 +375,15 @@ StatusOr<std::vector<std::vector<Neighbor>>> ShardedIndex::KnnBatchImpl(
 StatusOr<std::vector<std::vector<uint32_t>>> ShardedIndex::RangeBatchImpl(
     const Matrix& queries, double radius, Stats* stats) const {
   std::vector<std::vector<uint32_t>> out(queries.rows());
-  const size_t lanes = pool_->num_lanes();
-  std::vector<Stats> lane_stats(lanes);
-  std::vector<Status> lane_status(lanes);
-  pool_->ParallelFor(queries.rows(), [&](size_t q, size_t lane) {
-    if (!lane_status[lane].ok()) return;
-    lane_status[lane] = ScatterRange(queries.Row(q), radius,
-                                     /*parallel=*/false, &out[q],
-                                     &lane_stats[lane]);
+  std::vector<Stats> per_query(queries.rows());
+  std::vector<Status> status(queries.rows());
+  pool_->ParallelFor(queries.rows(), [&](size_t q, size_t) {
+    status[q] = ScatterRange(queries.Row(q), radius, /*parallel=*/false,
+                             &out[q], &per_query[q]);
   });
-  for (size_t lane = 0; lane < lanes; ++lane) {
-    BREP_RETURN_IF_ERROR(lane_status[lane]);
-    AddShardLanes(stats, lane_stats[lane]);
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    BREP_RETURN_IF_ERROR(status[q]);
+    *stats += per_query[q];
   }
   return out;
 }
@@ -414,89 +392,60 @@ StatusOr<JoinResult> ShardedIndex::KnnJoinImpl(const Matrix& r, size_t k,
                                                const JoinOptions& options,
                                                Stats* stats) const {
   const size_t n = shards_.size();
-  // One scatter pass: every shard joins R against its own slice (k clamped
-  // to the shard's -- possibly sampled -- population), lists are rewritten
-  // into global id space, and each R row merges through the global
-  // (distance, id) TopK. `sink` may be null for a measurement-only pass
-  // whose work should not land in the caller's counters.
-  const auto scatter =
-      [&](const JoinOptions& opts,
-          Stats* sink) -> StatusOr<JoinResult> {
-    std::vector<JoinResult> per(n);
-    std::vector<Stats> shard_stats(n);
-    std::vector<Status> shard_status(n);
-    Timer scatter_timer;
-    const auto run_shard = [&](size_t i) {
-      const size_t avail = shards_[i]->num_points();
-      if (avail == 0) return;  // empty shard contributes nothing
-      const size_t k_s = std::min(k, SampledJoinCount(opts.sample_rate,
-                                                      avail));
-      auto result = shards_[i]->KnnJoin(r, k_s, opts, &shard_stats[i]);
-      if (!result.ok()) {
-        shard_status[i] = result.status();
-        return;
-      }
-      per[i] = *std::move(result);
-      // A shard's ascending local order IS ascending global order, so the
-      // id rewrite preserves each list's (distance, id) sort.
-      for (std::vector<Neighbor>& row : per[i].neighbors) {
-        for (Neighbor& nb : row) nb.id = GlobalId(nb.id, i, n);
-      }
-    };
-    if (n > 1) {
-      pool_->ParallelFor(n, [&](size_t i, size_t) { run_shard(i); });
-    } else {
-      run_shard(0);
+  // Every shard joins R against its own slice (k clamped to the shard's
+  // population), lists are rewritten into global id space, and each R row
+  // merges through the global (distance, id) TopK.
+  std::vector<JoinResult> per(n);
+  std::vector<Stats> shard_stats(n);
+  std::vector<Status> shard_status(n);
+  Timer scatter_timer;
+  const auto run_shard = [&](size_t i) {
+    const size_t avail = shards_[i]->num_points();
+    if (avail == 0) return;  // empty shard contributes nothing
+    auto result =
+        shards_[i]->KnnJoin(r, std::min(k, avail), options, &shard_stats[i]);
+    if (!result.ok()) {
+      shard_status[i] = result.status();
+      return;
     }
-    scatter_latency_->Record(scatter_timer.ElapsedMillis());
-    JoinResult out;
-    for (size_t i = 0; i < n; ++i) {
-      BREP_RETURN_IF_ERROR(shard_status[i]);
-      if (sink != nullptr) AddShardLanes(sink, shard_stats[i]);
-      out.stats.node_pairs_visited += per[i].stats.node_pairs_visited;
-      out.stats.node_pairs_pruned += per[i].stats.node_pairs_pruned;
-      out.stats.leaf_blocks += per[i].stats.leaf_blocks;
-      out.stats.pairs_evaluated += per[i].stats.pairs_evaluated;
-      out.stats.r_tree_nodes += per[i].stats.r_tree_nodes;
-      out.stats.s_tree_nodes += per[i].stats.s_tree_nodes;
-      out.stats.build_ms += per[i].stats.build_ms;
-      out.stats.descent_ms += per[i].stats.descent_ms;
+    per[i] = *std::move(result);
+    // A shard's ascending local order IS ascending global order, so the
+    // id rewrite preserves each list's (distance, id) sort.
+    for (std::vector<Neighbor>& row : per[i].neighbors) {
+      for (Neighbor& nb : row) nb.id = GlobalId(nb.id, i, n);
     }
-    Timer merge_timer;
-    out.neighbors.resize(r.rows());
-    std::vector<std::vector<Neighbor>> rows(n);
-    for (size_t q = 0; q < r.rows(); ++q) {
-      for (size_t i = 0; i < n; ++i) {
-        rows[i] = per[i].neighbors.size() == r.rows()
-                      ? std::move(per[i].neighbors[q])
-                      : std::vector<Neighbor>{};
-      }
-      out.neighbors[q] = MergeKnn(rows, k);
-    }
-    merge_latency_->Record(merge_timer.ElapsedMillis());
-    return out;
   };
-
-  if (options.sample_rate < 1.0 && options.measure_recall) {
-    // Recall must be judged globally (a per-shard measurement would score
-    // each shard against its own slice only): run the sampled scatter for
-    // the answer and an exact scatter for the truth set, and keep only the
-    // sampled pass's work in the caller's counters.
-    JoinOptions sampled_opts = options;
-    sampled_opts.measure_recall = false;
-    BREP_ASSIGN_OR_RETURN(JoinResult sampled, scatter(sampled_opts, stats));
-    JoinOptions exact_opts = options;
-    exact_opts.sample_rate = 1.0;
-    exact_opts.measure_recall = false;
-    BREP_ASSIGN_OR_RETURN(const JoinResult exact,
-                          scatter(exact_opts, /*sink=*/nullptr));
-    sampled.stats.sampled_recall =
-        MeanJoinRecall(sampled.neighbors, exact.neighbors);
-    return sampled;
+  if (n > 1) {
+    pool_->ParallelFor(n, [&](size_t i, size_t) { run_shard(i); });
+  } else {
+    run_shard(0);
   }
-  BREP_ASSIGN_OR_RETURN(JoinResult out, scatter(options, stats));
-  // Exact join against the full truth set: recall is 1 by definition.
-  if (options.measure_recall) out.stats.sampled_recall = 1.0;
+  scatter_latency_->Record(scatter_timer.ElapsedMillis());
+  JoinResult out;
+  for (size_t i = 0; i < n; ++i) {
+    BREP_RETURN_IF_ERROR(shard_status[i]);
+    *stats += shard_stats[i];
+    out.stats.node_pairs_visited += per[i].stats.node_pairs_visited;
+    out.stats.node_pairs_pruned += per[i].stats.node_pairs_pruned;
+    out.stats.leaf_blocks += per[i].stats.leaf_blocks;
+    out.stats.pairs_evaluated += per[i].stats.pairs_evaluated;
+    out.stats.r_tree_nodes += per[i].stats.r_tree_nodes;
+    out.stats.s_tree_nodes += per[i].stats.s_tree_nodes;
+    out.stats.build_ms += per[i].stats.build_ms;
+    out.stats.descent_ms += per[i].stats.descent_ms;
+  }
+  Timer merge_timer;
+  out.neighbors.resize(r.rows());
+  std::vector<std::vector<Neighbor>> rows(n);
+  for (size_t q = 0; q < r.rows(); ++q) {
+    for (size_t i = 0; i < n; ++i) {
+      rows[i] = per[i].neighbors.size() == r.rows()
+                    ? std::move(per[i].neighbors[q])
+                    : std::vector<Neighbor>{};
+    }
+    out.neighbors[q] = MergeKnn(rows, k);
+  }
+  merge_latency_->Record(merge_timer.ElapsedMillis());
   return out;
 }
 
@@ -510,7 +459,7 @@ StatusOr<uint32_t> ShardedIndex::InsertImpl(std::span<const double> point,
       next_shard_.fetch_add(1, std::memory_order_relaxed) % n;
   Stats shard_stats;
   auto local = shards_[target]->Insert(point, &shard_stats);
-  AddShardLanes(stats, shard_stats);
+  *stats += shard_stats;
   if (!local.ok()) {
     // A rejected insert gives its slot back (the cursor is load balancing,
     // not correctness), keeping routing deterministic for sequential
@@ -526,7 +475,7 @@ Status ShardedIndex::DeleteImpl(uint32_t id, Stats* stats) {
   Stats shard_stats;
   const Status status =
       shards_[ShardOf(id, n)]->Delete(LocalId(id, n), &shard_stats);
-  AddShardLanes(stats, shard_stats);
+  *stats += shard_stats;
   if (status.code() == StatusCode::kNotFound) {
     // The shard speaks local ids; rewrite in the caller's space.
     return Status::NotFound("no live point with id " + std::to_string(id));

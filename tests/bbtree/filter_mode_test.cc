@@ -64,7 +64,7 @@ TEST_F(FilterModeTest, ExactRangeProducesNoMoreCandidates) {
                                   Config(FilterMode::kCluster));
   size_t exact_cand = 0, cluster_cand = 0;
   for (size_t q = 0; q < queries_.rows(); ++q) {
-    QueryStats a, b;
+    Stats a, b;
     exact_mode.KnnSearch(queries_.Row(q), kK, &a);
     cluster_mode.KnnSearch(queries_.Row(q), kK, &b);
     exact_cand += a.candidates;

@@ -45,7 +45,7 @@ class QueryEngineTest : public ::testing::Test {
 
 /// The logical work of one query is schedule-independent: the engine's
 /// per-subspace fan-out does exactly what the sequential pipeline does.
-void ExpectSameLogicalStats(const QueryStats& got, const QueryStats& want) {
+void ExpectSameLogicalStats(const Stats& got, const Stats& want) {
   EXPECT_EQ(got.candidates, want.candidates);
   EXPECT_EQ(got.nodes_visited, want.nodes_visited);
   EXPECT_EQ(got.leaves_visited, want.leaves_visited);
@@ -93,8 +93,8 @@ TEST_F(QueryEngineTest, ResultsAreIdenticalAcrossThreadCounts) {
 TEST_F(QueryEngineTest, SingleQueryParallelFilterMatchesSequential) {
   const QueryEngine engine = MakeEngine(4);
   for (size_t q = 0; q < queries_.rows(); ++q) {
-    QueryStats par_stats;
-    QueryStats seq_stats;
+    Stats par_stats;
+    Stats seq_stats;
     const auto got = engine.KnnSearch(queries_.Row(q), kK, &par_stats);
     const auto expected = index_->KnnSearch(queries_.Row(q), kK, &seq_stats);
     EXPECT_TRUE(got == expected) << "q=" << q;
@@ -107,8 +107,8 @@ TEST_F(QueryEngineTest, SingleQueryParallelFilterMatchesSequential) {
 }
 
 TEST_F(QueryEngineTest, LogicalStatsAreDeterministicAcrossThreadCounts) {
-  EngineStats seq_stats;
-  EngineStats par_stats;
+  Stats seq_stats;
+  Stats par_stats;
   MakeEngine(1).KnnSearchBatch(queries_, kK, &seq_stats);
   MakeEngine(4).KnnSearchBatch(queries_, kK, &par_stats);
 
@@ -140,8 +140,8 @@ TEST_F(QueryEngineTest, RangeSearchMatchesBruteForce) {
     EXPECT_TRUE(engine.RangeSearch(y, radius) == expected) << "q=" << q;
     // The core pipeline, sequential, against the 4-thread engine: same ids,
     // same logical work (M = 4, so the engine fans the filter out).
-    QueryStats par_stats;
-    QueryStats seq_stats;
+    Stats par_stats;
+    Stats seq_stats;
     const auto par = engine.RangeSearch(y, radius, &par_stats);
     const auto seq = index_->RangeSearch(y, radius, &seq_stats);
     EXPECT_TRUE(seq == expected) << "q=" << q;
@@ -154,13 +154,13 @@ TEST_F(QueryEngineTest, RangeSearchMatchesBruteForce) {
 TEST_F(QueryEngineTest, RangeBatchIdenticalAcrossThreadCounts) {
   const double radius = index_->KnnSearch(queries_.Row(0), 8).back().distance;
   const auto reference = MakeEngine(1).RangeSearchBatch(queries_, radius);
-  EngineStats stats;
+  Stats stats;
   const auto got = MakeEngine(5).RangeSearchBatch(queries_, radius, &stats);
   ASSERT_EQ(got.size(), reference.size());
-  EngineStats core_sum;
+  Stats core_sum;
   for (size_t q = 0; q < got.size(); ++q) {
     EXPECT_TRUE(got[q] == reference[q]) << "q=" << q;
-    QueryStats qs;
+    Stats qs;
     EXPECT_TRUE(got[q] == index_->RangeSearch(queries_.Row(q), radius, &qs))
         << "q=" << q;
     core_sum.candidates += qs.candidates;
@@ -179,7 +179,7 @@ TEST_F(QueryEngineTest, RangeBatchIdenticalAcrossThreadCounts) {
 
 TEST_F(QueryEngineTest, SingleRowBatchUsesSubspaceFanOut) {
   const Matrix one = queries_.Truncated(1);
-  EngineStats stats;
+  Stats stats;
   const auto batch = MakeEngine(4).KnnSearchBatch(one, kK, &stats);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_TRUE(batch[0] == index_->KnnSearch(one.Row(0), kK));

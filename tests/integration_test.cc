@@ -92,7 +92,7 @@ TEST_F(IntegrationTest, SharedPagerIsolatesPerQueryIo) {
   BrePartitionConfig config;
   config.num_partitions = 4;
   const BrePartition bp(&pager, data_, div_, config);
-  QueryStats s1, s2;
+  Stats s1, s2;
   bp.KnnSearch(queries_.Row(0), kK, &s1);
   bp.KnnSearch(queries_.Row(1), kK, &s2);
   EXPECT_GT(s1.io_reads, 0u);
@@ -117,7 +117,7 @@ TEST_F(IntegrationTest, MorePartitionsTightenTheBound) {
     double radius = 0.0;
     size_t candidates = 0;
     for (size_t q = 0; q < queries.rows(); ++q) {
-      QueryStats stats;
+      Stats stats;
       bp.KnnSearch(queries.Row(q), kK, &stats);
       radius += stats.radius_total;
       candidates += stats.candidates;
@@ -149,7 +149,7 @@ TEST_F(IntegrationTest, PccpBeatsContiguousOnCorrelatedData) {
     const BrePartition bp(&pager, data, div, config);
     uint64_t total = 0;
     for (size_t q = 0; q < queries.rows(); ++q) {
-      QueryStats stats;
+      Stats stats;
       bp.KnnSearch(queries.Row(q), kK, &stats);
       total += stats.io_reads;
     }
@@ -180,7 +180,7 @@ TEST_F(IntegrationTest, BrePartitionBeatsBBTOnIo) {
 
   uint64_t bp_io = 0, bbt_io = 0;
   for (size_t q = 0; q < queries.rows(); ++q) {
-    QueryStats stats;
+    Stats stats;
     bp.KnnSearch(queries.Row(q), kK, &stats);
     bp_io += stats.io_reads;
     const IoStats before = pager.stats();

@@ -1,8 +1,8 @@
 /// SearchIndex::KnnJoin facade contract: the wrapper validates identically
 /// on every backend (native, fallback, sharded), the fallback serves exact
 /// joins through per-query search, the native path is byte-identical to the
-/// nested-loop oracle, the sampled arm reports measured recall, and join
-/// work lands in the metrics registry and the trace ring.
+/// nested-loop oracle, and join work lands in the metrics registry and the
+/// trace ring.
 
 #include <cmath>
 #include <limits>
@@ -74,28 +74,6 @@ void ExpectValidationContract(const SearchIndex& index, const Matrix& data) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
       << index.Describe();
 
-  // sample_rate outside (0, 1].
-  for (const double rate : {0.0, -0.25, 1.5,
-                            std::numeric_limits<double>::quiet_NaN(),
-                            std::numeric_limits<double>::infinity()}) {
-    JoinOptions options;
-    options.sample_rate = rate;
-    result = index.KnnJoin(r, 3, options);
-    ASSERT_FALSE(result.ok()) << index.Describe() << " rate=" << rate;
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
-        << index.Describe() << " rate=" << rate;
-  }
-
-  // k larger than the sampled subset: rejected up front, not served badly.
-  {
-    JoinOptions options;
-    options.sample_rate = 2.0 / static_cast<double>(n);
-    result = index.KnnJoin(r, 3, options);
-    ASSERT_FALSE(result.ok()) << index.Describe();
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
-        << index.Describe();
-  }
-
   // A NaN row in R is refused by the evaluability gate when the backend
   // exposes its divergence.
   std::vector<double> bad(r.rows() * kDim, 0.5);
@@ -159,22 +137,6 @@ TEST(JoinFallbackTest, ExactJoinMatchesOracleOnExactFallbackBackends) {
   }
 }
 
-// The fallback has no sampled arm: asking for one is kUnimplemented, not a
-// silently different answer.
-TEST(JoinFallbackTest, SampledJoinIsUnimplementedOnFallbackBackends) {
-  const Matrix data = MakeDataFor("squared_l2", kN, kDim);
-  const Matrix r = SmallQueries(data);
-  MemPager pager(32 * 1024);
-  const BregmanDivergence div = MakeDivergence("squared_l2", kDim);
-  auto index = MakeSearchIndex("scan", &pager, data, div);
-  ASSERT_TRUE(index.ok()) << index.status().message();
-  JoinOptions options;
-  options.sample_rate = 0.5;
-  const auto result = (*index)->KnnJoin(r, 3, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kUnimplemented);
-}
-
 // ------------------------------------------------------------- native path
 
 TEST(JoinIndexTest, ExactJoinMatchesOracleAndFillsStats) {
@@ -198,8 +160,6 @@ TEST(JoinIndexTest, ExactJoinMatchesOracleAndFillsStats) {
   EXPECT_GT(result->stats.r_tree_nodes, 0u);
   EXPECT_GT(result->stats.s_tree_nodes, 0u);
   EXPECT_GE(stats.wall_ms, 0.0);
-  EXPECT_EQ(result->stats.sampled_recall, -1.0)
-      << "exact join must not report a recall";
 }
 
 TEST(JoinIndexTest, ParallelHandleIsByteIdenticalToSequential) {
@@ -254,56 +214,6 @@ TEST(JoinIndexTest, JoinReflectsDeletes) {
                       NestedLoopJoin(built->divergence(), r, survivors, 4,
                                      live),
                       "join after deletes");
-}
-
-// ------------------------------------------------------------- sampled arm
-
-TEST(JoinIndexTest, SampledJoinReportsMeasuredRecall) {
-  const Matrix data = MakeDataFor("squared_l2", 500, kDim);
-  const Matrix r = MakeQueriesFor("squared_l2", data, 25);
-  auto built = Index::Build(data, "squared_l2", TracedOptions());
-  ASSERT_TRUE(built.ok()) << built.status().message();
-
-  JoinOptions options;
-  options.sample_rate = 0.5;
-  options.measure_recall = true;
-  const auto result = built->KnnJoin(r, 5, options);
-  ASSERT_TRUE(result.ok()) << result.status().message();
-  ASSERT_EQ(result->neighbors.size(), r.rows());
-  EXPECT_GE(result->stats.sampled_recall, 0.0);
-  EXPECT_LE(result->stats.sampled_recall, 1.0);
-
-  // The recall gauge reflects the measurement.
-  const auto snapshot = built->Metrics();
-  const double* gauge =
-      snapshot.FindGauge(obs::kJoinSampleRecallGauge);
-  ASSERT_NE(gauge, nullptr);
-  EXPECT_EQ(*gauge, result->stats.sampled_recall);
-
-  // Every sampled neighbor must be a real point at its true distance
-  // (sampling shrinks the candidate set, never corrupts distances).
-  const auto exact = NestedLoopJoin(built->divergence(), r, data, 5);
-  for (size_t i = 0; i < r.rows(); ++i) {
-    for (const Neighbor& nb : result->neighbors[i]) {
-      EXPECT_EQ(nb.distance,
-                built->divergence().Divergence(data.Row(nb.id), r.Row(i)))
-          << "row " << i;
-    }
-  }
-
-  // Same seed, same answer: the sampled arm is deterministic.
-  const auto again = built->KnnJoin(r, 5, options);
-  ASSERT_TRUE(again.ok());
-  ExpectJoinIdentical(again->neighbors, result->neighbors, "sampled rerun");
-  EXPECT_EQ(again->stats.sampled_recall, result->stats.sampled_recall);
-
-  // sample_rate = 1 with measure_recall: recall is exactly 1.
-  JoinOptions full;
-  full.measure_recall = true;
-  const auto everything = built->KnnJoin(r, 5, full);
-  ASSERT_TRUE(everything.ok());
-  EXPECT_EQ(everything->stats.sampled_recall, 1.0);
-  ExpectJoinIdentical(everything->neighbors, exact, "rate-1 sampled join");
 }
 
 // ---------------------------------------------------------- observability
@@ -378,27 +288,6 @@ TEST(JoinShardedTest, ScatterJoinIsByteIdenticalToUnsharded) {
     EXPECT_EQ(stats.queries, r.rows()) << shards << " shards";
     EXPECT_GT(result->stats.node_pairs_visited, 0u) << shards << " shards";
   }
-}
-
-TEST(JoinShardedTest, SampledShardedJoinReportsGlobalRecall) {
-  const Matrix data = MakeDataFor("squared_l2", 360, kDim);
-  const Matrix r = MakeQueriesFor("squared_l2", data, 16);
-  ShardedIndexOptions options;
-  options.num_shards = 3;
-  options.shard.config.num_partitions = 3;
-  auto sharded = ShardedIndex::Build(data, "squared_l2", options);
-  ASSERT_TRUE(sharded.ok()) << sharded.status().message();
-  JoinOptions join_options;
-  join_options.sample_rate = 0.5;
-  join_options.measure_recall = true;
-  const auto result = (*sharded)->KnnJoin(r, 4, join_options);
-  ASSERT_TRUE(result.ok()) << result.status().message();
-  EXPECT_GE(result->stats.sampled_recall, 0.0);
-  EXPECT_LE(result->stats.sampled_recall, 1.0);
-  // Determinism of the sampled sharded arm.
-  const auto again = (*sharded)->KnnJoin(r, 4, join_options);
-  ASSERT_TRUE(again.ok());
-  ExpectJoinIdentical(again->neighbors, result->neighbors, "sharded rerun");
 }
 
 }  // namespace

@@ -196,7 +196,7 @@ TEST_P(DurableIndexGeneratorTest, ReopenReplaysLoggedWritesByteIdentically) {
       oracle.Insert(id, pool.Row(id));
     }
     ApplyOps(*built, &oracle, ops, 0, ops.size());
-    const EngineStats us = built->UpdateStats();
+    const Stats us = built->UpdateStats();
     EXPECT_EQ(us.wal_appends, ops.size());
     EXPECT_GE(us.wal_fsyncs, ops.size());  // kAlways: one barrier per op
   }  // destroyed WITHOUT a checkpoint: everything lives only in the log
@@ -531,14 +531,14 @@ TEST_F(DurableIndexTest, WalLanesFlowThroughTheStatsSurface) {
   ASSERT_TRUE(built->Delete(0, &del).ok());
   EXPECT_EQ(del.deletes, 1u);
   EXPECT_EQ(del.wal_appends, 1u);
-  const EngineStats us = built->UpdateStats();
+  const Stats us = built->UpdateStats();
   EXPECT_EQ(us.inserts, 1u);
   EXPECT_EQ(us.deletes, 1u);
   EXPECT_EQ(us.wal_appends, 2u);
   EXPECT_GE(us.wal_fsyncs, 2u);
   // The aggregate surface picks the lanes up too.
   SearchIndex::Stats sum;
-  sum.Add(us);
+  sum += us;
   EXPECT_EQ(sum.wal_appends, 2u);
 }
 
